@@ -1,38 +1,24 @@
 """Hot inner loops: pair-window histogramming and detector dead time.
 
-Two backends are provided for each kernel: a numba ``@njit`` version and a
-pure-numpy implementation. Selection happens once at import time:
-
-* default: numba kernels (JIT-compiled, cached on disk)
-* ``QFCLAB_DISABLE_NUMBA=1`` in the environment, or numba missing: numpy path
-
-``backend_name()`` reports which one is active; ``benchmarks/bench_correlator.py``
-times both on identical inputs.
+Each kernel has a single vectorized numpy implementation. Both are exact:
+integer picosecond arithmetic throughout, with slow reference versions kept
+in ``acceptance.py`` (``_oracle_outer``/``_oracle_edges`` for the pair
+histogram, ``_oracle_dead_time`` for the dead-time filter) and checked by
+the acceptance battery and the property tests.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("QFCLAB_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
 
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by QFCLAB_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def _pair_hist_py(a, b, tau_min, tau_max, bin_width, exclude_self):
-    """Numpy fallback: windowed pair histogram via searchsorted + ragged gather.
+def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
+    """Windowed pair histogram via searchsorted + ragged gather.
 
     Counts ordered pairs (i, j) with tau = b[j] - a[i] in [tau_min, tau_max),
     binned as (tau - tau_min) // bin_width. When exclude_self is set, a and b
     must be the same array and pairs with i == j are skipped.
     """
+    tau_min, tau_max = np.int64(tau_min), np.int64(tau_max)
+    bin_width = np.int64(bin_width)
     nbins = int((tau_max - tau_min) // bin_width)
     counts = np.zeros(nbins, dtype=np.int64)
     if len(a) == 0 or len(b) == 0:
@@ -59,71 +45,55 @@ def _pair_hist_py(a, b, tau_min, tau_max, bin_width, exclude_self):
     return counts
 
 
-def _dead_time_py(tags, dead_ps):
-    """Numpy fallback for non-paralyzable dead time (sequential by nature)."""
-    keep = np.ones(len(tags), dtype=np.bool_)
-    last = -dead_ps - 1
-    lst = tags.tolist()
-    for i, t in enumerate(lst):
-        if t - last >= dead_ps:
-            last = t
-        else:
-            keep[i] = False
+def dead_time_mask(tags, dead_ps):
+    """Keep-mask of a non-paralyzable dead time applied to sorted int64 tags.
+
+    A tag is kept when it comes at least ``dead_ps`` after the last kept tag;
+    the detector starts ready at ``-1 - dead_ps``, so the first kept tag is
+    the first one at or after -1 ps. ``tags + dead_ps`` must fit in int64.
+
+    The kept set is the orbit of the first kept tag under
+    ``nxt(i) = searchsorted(tags, tags[i] + dead_ps)``. A tag whose gap to its
+    predecessor is at least ``dead_ps`` is always kept, so the stream splits
+    into clusters of closer tags, each starting with a kept tag, and a chain
+    leaves its cluster only by landing on the next cluster's first tag. The
+    chains of all clusters are followed at once by pointer doubling:
+    O(n log L) for a longest chain of L kept tags.
+    """
+    dead = int(dead_ps)
+    keep = np.zeros(len(tags), dtype=np.bool_)
+    first = int(np.searchsorted(tags, -1, side="left"))
+    t = tags[first:]
+    kept = keep[first:]
+    kept[:1] = True
+    kept[1:] = np.diff(t) >= dead
+    # a tag kept by its gap whose successor is also kept by its gap is a
+    # cluster of one; only members of longer clusters need chain following
+    lone = kept.copy()
+    lone[:-1] &= kept[1:]
+    idx = np.flatnonzero(~lone)
+    if len(idx) == 0:
+        return keep
+    # jump table over positions in idx, ending in a sink: a chain that leaves
+    # its cluster lands on the next cluster's first tag, which is kept anyway
+    sink = len(idx)
+    starts = np.flatnonzero(kept[idx])
+    ends = np.repeat(np.append(starts[1:], sink), np.diff(starts, append=sink))
+    # members of a cluster are contiguous in idx, so positions shift as indices do
+    nxt = np.searchsorted(t, t[idx] + dead, side="left")
+    jump = np.arange(sink) + (nxt - idx)
+    g = np.append(np.where(jump < ends, jump, sink), sink)
+    frontier = starts[g[starts] != sink]
+    # after k rounds g jumps 2^k steps and frontier holds every chain member
+    # found so far whose jump has not yet run into the sink
+    while len(frontier):
+        reached = g[frontier]
+        kept[idx[reached]] = True
+        g = g[g]
+        frontier = np.concatenate([frontier, reached])
+        frontier = frontier[g[frontier] != sink]
     return keep
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_hist_nb(a, b, tau_min, tau_max, bin_width, exclude_self):
-        nbins = (tau_max - tau_min) // bin_width
-        counts = np.zeros(nbins, dtype=np.int64)
-        na = len(a)
-        nb = len(b)
-        lo = 0
-        hi = 0
-        for i in range(na):
-            wmin = a[i] + tau_min
-            wmax = a[i] + tau_max
-            while lo < nb and b[lo] < wmin:
-                lo += 1
-            if hi < lo:
-                hi = lo
-            while hi < nb and b[hi] < wmax:
-                hi += 1
-            for j in range(lo, hi):
-                if exclude_self and j == i:
-                    continue
-                counts[(b[j] - wmin) // bin_width] += 1
-        return counts
-
-    @njit(cache=True)
-    def _dead_time_nb(tags, dead_ps):
-        keep = np.ones(len(tags), dtype=np.bool_)
-        last = -dead_ps - 1
-        for i in range(len(tags)):
-            if tags[i] - last >= dead_ps:
-                last = tags[i]
-            else:
-                keep[i] = False
-        return keep
-
-    def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
-        return _pair_hist_nb(a, b, np.int64(tau_min), np.int64(tau_max),
-                             np.int64(bin_width), exclude_self)
-
-    def dead_time_mask(tags, dead_ps):
-        return _dead_time_nb(tags, np.int64(dead_ps))
-
-else:
-
-    def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
-        return _pair_hist_py(a, b, np.int64(tau_min), np.int64(tau_max),
-                             np.int64(bin_width), exclude_self)
-
-    def dead_time_mask(tags, dead_ps):
-        return _dead_time_py(tags, np.int64(dead_ps))
-
-
 def backend_name():
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"

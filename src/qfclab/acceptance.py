@@ -171,6 +171,19 @@ def _oracle_edges(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     return counts
 
 
+def _oracle_dead_time(tags, dead_ps):
+    """Sequential oracle for the non-paralyzable dead time: one tag at a time."""
+    dead_ps = int(dead_ps)
+    keep = np.ones(len(tags), dtype=np.bool_)
+    last = -dead_ps - 1
+    for i, t in enumerate(tags.tolist()):
+        if t - last >= dead_ps:
+            last = t
+        else:
+            keep[i] = False
+    return keep
+
+
 def _random_case(rng, n_max):
     kind = rng.integers(0, 5)
     na = int(rng.integers(0, n_max))
@@ -226,6 +239,39 @@ def check_correlator_oracle(model, losses, printer=None, cases=200):
                    printer)
 
 
+def _dead_time_cases(rng, dead=50_000):
+    """Streams for the dead-time gate: (label, sorted int64 tags, dead_ps)."""
+    for label, mean_gap in (("1 us", 1e6), ("100 ns", 1e5), ("20 ns", 2e4)):
+        tags = np.cumsum(rng.exponential(mean_gap, 100_000)).astype(np.int64)
+        yield label, tags, dead
+    # one cluster spanning the whole stream: the longest chains
+    yield ("periodic", int(rng.integers(0, dead))
+           + (dead // 5) * np.arange(100_000, dtype=np.int64), dead)
+    bursts = np.sort(rng.integers(0, 10 ** 9, 2_000))
+    yield "bursts", np.repeat(bursts, rng.integers(1, 50, len(bursts))), dead
+    yield "empty", np.zeros(0, dtype=np.int64), dead
+    yield "single", rng.integers(0, 10 ** 6, 1), dead
+    yield "dead 0", np.sort(rng.integers(0, 10 ** 6, 1_000)), 0
+    for _ in range(200):
+        n = int(rng.integers(0, 300))
+        span = int(rng.integers(1, 10 ** 6))
+        yield ("random", np.sort(rng.integers(0, span, n)),
+               int(rng.integers(0, 3 * span // max(n, 1) + 2)))
+
+
+def check_dead_time_oracle(model, losses, printer=None):
+    cases = list(_dead_time_cases(np.random.default_rng(2025)))
+    mismatched = [label for label, tags, dead in cases
+                  if not np.array_equal(_kernels.dead_time_mask(tags, dead),
+                                        _oracle_dead_time(tags, dead))]
+    detail = (f"{len(cases)} cases (exponential gaps of 1 us/100 ns/20 ns, a periodic "
+              f"stream at dead/5, bursts of ties, empty, single, dead 0, random) "
+              f"against the sequential oracle: {len(mismatched)} mismatches")
+    if mismatched:
+        detail += f" ({', '.join(sorted(set(mismatched)))})"
+    return _result("dead-time-oracle-agreement", not mismatched, detail, printer)
+
+
 def check_nonclassical_correlations(model, losses, printer=None):
     si = compute_coincidence_si(model, losses, {}, derive_seed(12345, "coincidence_si"))
     so = compute_coincidence_so(model, losses, {}, derive_seed(12345, "coincidence_so"))
@@ -250,8 +296,6 @@ def check_throughput(model, losses, printer=None):
     b = np.sort(rng.integers(0, int(duration_s * 1e12), n)).astype(np.int64)
     sa = TagStream(0, a, duration_s)
     sb = TagStream(1, b, duration_s)
-    # warm-up on a small slice so JIT compilation is not billed to the run
-    _kernels.pair_histogram(a[:100], b[:100], -10_000, 10_000, 100)
     t0 = time.perf_counter()
     hist = coincidence_histogram(sa, sb, 100, (-10_000, 10_000))
     elapsed = time.perf_counter() - t0
@@ -272,6 +316,7 @@ ALL_CHECKS = (
     check_noise_floor_anchors,
     check_snr_sweep,
     check_correlator_oracle,
+    check_dead_time_oracle,
     check_nonclassical_correlations,
     check_noise_spectrum_shape,
     check_throughput,
@@ -288,7 +333,7 @@ KIND_CHECKS = {
 }
 
 ENGINE_CHECKS = (check_energy_conservation, check_fock_engine,
-                 check_correlator_oracle, check_throughput)
+                 check_correlator_oracle, check_dead_time_oracle, check_throughput)
 
 
 def run_all(model=None, losses=None, printer=print):

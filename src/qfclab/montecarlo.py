@@ -56,7 +56,7 @@ class TagStream:
                 raise ValueError("timestamps must be nonnegative")
             if np.any(np.diff(tags) < 0):
                 raise ValueError("timestamps must be sorted")
-            if tags[-1] >= int(self.duration_s * _PS):
+            if tags[-1] >= round(self.duration_s * _PS):
                 raise ValueError("timestamps must be below the acquisition duration")
 
     def __len__(self):

@@ -1,8 +1,9 @@
 """Coincidence analysis of time-tag streams.
 
 The correlator counts ordered pairs (t_a, t_b) with tau = t_b - t_a inside a
-half-open window [tau_min, tau_max) using a single two-pointer sweep over
-the sorted streams (linear in tags + matches; see _kernels for backends).
+half-open window [tau_min, tau_max) by searchsorted window bounds over the
+sorted streams and one bincount of the matched pairs (the kernel is
+`_kernels.pair_histogram`).
 Bins are half-open [lower, upper), tau sign is t_b - t_a, and histograms are
 never symmetrized.
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ def test_empty_stream(tmp_path):
     write_qtag(path, s)
     back = read_qtag(path)
     assert len(back) == 0 and back.duration_s == 2.0
+
+
+def test_tag_just_below_rounded_duration(tmp_path):
+    # 0.0633 s * 1e12 is 63299999999.99999 in floating point: the file stores
+    # the rounded duration, so the last legal tag is duration_ps - 1
+    duration_ps = 63_300_000_000
+    path = tmp_path / "edge.qtag"
+    path.write_bytes(struct.pack("<4sHHQQ", b"QTAG", 1, 2, duration_ps, 1)
+                     + struct.pack("<Q", duration_ps - 1))
+    back = read_qtag(path)
+    assert back.duration_s == 0.0633
+    assert back.tags.tolist() == [duration_ps - 1]
 
 
 def test_bad_magic(tmp_path):
