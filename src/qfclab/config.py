@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .spectral import (ConverterModel, LossBudget, SpectralFilter,
+from .spectral import (ConverterModel, LossBudget, SpectralFilter, _shape_norm_ghz,
                        conversion_efficiency, noise_rate)
 
 SCHEMA_VERSION = 1
@@ -56,7 +56,7 @@ def _calibrated_noise_quad(bandwidth_ghz, target=NARROWLINE_HZ, at_mw=200.0,
                            line_fwhm_ghz=NARROWLINE_FWHM_MHZ / 1e3):
     # flat density at band center through a unit-peak Lorentzian of area
     # (pi/2)*fwhm must equal the target rate
-    shape_norm = np.pi * bandwidth_ghz / (2.0 * 1.39155737825151)
+    shape_norm = _shape_norm_ghz(bandwidth_ghz)
     line_area = 0.5 * np.pi * line_fwhm_ghz
     return target * shape_norm / (at_mw ** 2 * line_area)
 

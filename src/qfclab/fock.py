@@ -44,10 +44,6 @@ class UndefinedCorrelationError(ValueError):
     """A requested correlation has a mean photon number too small to divide by."""
 
 
-class TruncationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Number basis |n_s, n_i, n_o> with 0 <= n <= n_max per mode.
@@ -161,17 +157,36 @@ def number_state(basis, n_s, n_i, n_o):
     return FockState(basis, amps)
 
 
-def build_annihilator(basis, mode):
-    """Ladder-down operator for one mode: <..n-1..|a|..n..> = sqrt(n)."""
-    axis = basis.mode_axis(mode)
+def _ladder_matrix(basis, lowered, raised=()):
+    """Matrix of the raising operators of `raised` times the lowering
+    operators of `lowered` (all modes distinct). Each column holds at most
+    one nonzero, the product of the sqrt(n) ladder factors, so the matrix is
+    written directly instead of multiplied out densely."""
     occ = basis.occupations()
     d = basis.n_max + 1
     strides = np.array([d * d, d, 1])
+    amp = np.ones(basis.dim)
+    dst = np.arange(basis.dim)
+    keep = np.ones(basis.dim, dtype=bool)
+    for mode in lowered:
+        axis = basis.mode_axis(mode)
+        amp = amp * np.sqrt(occ[:, axis])
+        dst = dst - strides[axis]
+        keep &= occ[:, axis] > 0
+    for mode in raised:
+        axis = basis.mode_axis(mode)
+        amp = amp * np.sqrt(occ[:, axis] + 1)
+        dst = dst + strides[axis]
+        keep &= occ[:, axis] < basis.n_max
     mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    src = np.nonzero(occ[:, axis] > 0)[0]
-    dst = src - strides[axis]
-    mat[dst, src] = np.sqrt(occ[src, axis])
-    return FockOperator(basis, mat)
+    src = np.nonzero(keep)[0]
+    mat[dst[src], src] = amp[src]
+    return mat
+
+
+def build_annihilator(basis, mode):
+    """Ladder-down operator for one mode: <..n-1..|a|..n..> = sqrt(n)."""
+    return FockOperator(basis, _ladder_matrix(basis, (mode,)))
 
 
 def build_number_operator(basis, mode):
@@ -185,9 +200,8 @@ def build_qfc_hamiltonian(basis, params):
     Commutes with n_i + n_o. Sign fixed so that
     <1,0,1| H |1,1,0> = -i*kappa*A.
     """
-    a_i = build_annihilator(basis, "idler").matrix
-    a_o = build_annihilator(basis, "output").matrix
-    m = 1j * params.kappa * params.pump_amplitude * (a_i.conj().T @ a_o)
+    m = 1j * params.kappa * params.pump_amplitude \
+        * _ladder_matrix(basis, ("output",), raised=("idler",))
     return FockOperator(basis, m + m.conj().T)
 
 
@@ -197,9 +211,8 @@ def build_spdc_hamiltonian(basis, params):
     Commutes with n_s - n_i. Sign fixed so that
     <1,1,0| H |0,0,0> = -i*gamma*A.
     """
-    a_s = build_annihilator(basis, "signal").matrix
-    a_i = build_annihilator(basis, "idler").matrix
-    m = 1j * params.gamma * params.pump_amplitude * (a_s @ a_i)
+    m = 1j * params.gamma * params.pump_amplitude \
+        * _ladder_matrix(basis, ("signal", "idler"))
     return FockOperator(basis, m + m.conj().T)
 
 

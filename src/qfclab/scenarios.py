@@ -172,10 +172,11 @@ def compute_snr_sweep(model, losses, params, seed):
     t_acq = params.get("acquisition_s", 5.0)
     stack = uv_stack(model, etalon=params.get("etalon", True))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    p_mw = np.asarray(powers, dtype=float)
+    s_models = detected_signal_rate(model, p_mw, losses, stack).tolist()
+    n_models = noise_rate(p_mw, stack, model).tolist()
     rows = []
-    for p in powers:
-        s_model = detected_signal_rate(model, p, losses, stack)
-        n_model = noise_rate(p, stack, model)
+    for p, s_model, n_model in zip(powers, s_models, n_models):
         s_sim = rng.poisson(s_model * t_acq) / t_acq
         n_sim = rng.poisson(n_model * t_acq) / t_acq
         rows.append((p, s_sim, n_sim, s_sim / n_sim, s_model / n_model))
@@ -210,7 +211,7 @@ def compute_noise_sweep(model, losses, params, seed):
     for label, etalon, (lo, hi) in (("unfiltered", False, (1.85, 2.15)),
                                     ("etalon", True, (0.85, 1.15))):
         stack = uv_stack(model, etalon=etalon)
-        rates = np.array([noise_rate(p, stack, model) for p in powers])
+        rates = noise_rate(np.asarray(powers, dtype=float), stack, model)
         rows = [(p, r) for p, r in zip(powers, rates)]
         tables[f"rates_{label}"] = (("pump_mw", "noise_hz"), rows)
         exps = []

@@ -17,12 +17,25 @@ Three components, calibrated against the bundled device anchors:
 * a detector-path term (dark counts plus stray fluorescence linear in pump
   power) that never passes through the spectral filter stack.
 
-Rates through a filter stack are spectral-density quadratures, so the rate
-model and the sampled spectra are consistent by construction. The analytic
-quadratic coefficient describes the cascade in its low-gain regime; the
-event-level generator (montecarlo) instead scales the cascade as
-pump_power * conversion_efficiency(pump_power), which bends below quadratic
-once conversion saturates. Both agree where the device anchors live.
+Neither the spectral shapes nor the filter transmissions depend on pump
+power, so the rate through a stack is closed form in P:
+
+    noise_rate(P) = quad * P^2 * S + floor_density * P * F + dark + stray * P
+
+S is the stack's overlap with the unit-area sinc^2 band and F its overlap
+with the unit-density flat floor (GHz). Both come from one trapezoid
+quadrature per call (``_stack_integrals``) of the same densities, on the
+same 0.25 GHz base step, that the sampled spectra use, so the rate model
+and the spectra are consistent by construction. The rate functions take
+a scalar pump power (returning a float) or an array of powers (returning
+an array of the same shape, one quadrature for all of them); any
+negative power raises ValueError.
+
+The analytic quadratic coefficient describes the cascade in its low-gain
+regime; the event-level generator (montecarlo) instead scales the cascade
+as pump_power * conversion_efficiency(pump_power), which bends below
+quadratic once conversion saturates. Both agree where the device anchors
+live.
 """
 
 import math
@@ -31,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
+from scipy import fft
 
 C_NM_GHZ = 2.99792458e8          # c expressed as nm * GHz
 HC_EV_NM = 1239.8419843320025    # h*c/e in eV*nm
@@ -415,6 +428,18 @@ def bundled_dispersion(model):
 # ---------------------------------------------------------------------------
 # conversion efficiency
 
+def _pump_powers(pump_power_mw):
+    p = np.asarray(pump_power_mw, dtype=float)
+    if np.any(p < 0):
+        raise ValueError("pump power must be >= 0")
+    return p
+
+
+def _scalar_or_array(x):
+    # a scalar pump power gives a float, an array of powers an array
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def conversion_efficiency(pump_power_mw, model, internal=True, losses=None):
     """Pump-power-dependent conversion efficiency.
 
@@ -424,18 +449,14 @@ def conversion_efficiency(pump_power_mw, model, internal=True, losses=None):
     fraction of the loss budget, referencing the efficiency to photons at
     the input facet instead. Detection-path losses are never included here.
     """
-    p = np.asarray(pump_power_mw, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("pump power must be >= 0")
+    p = _pump_powers(pump_power_mw)
     p_eff = p * np.exp(-model.uv_absorption_per_mw * p)
     eta = np.sin(np.sqrt(model.eta_nor_per_mw_mm2 * p_eff) * model.length_mm) ** 2
     if not internal:
         if losses is None:
             raise ValueError("external efficiency requires a LossBudget (mode_matching)")
         eta = eta * losses.mode_matching
-    if eta.ndim == 0:
-        return float(eta)
-    return eta
+    return _scalar_or_array(eta)
 
 
 def saturation_turnover_mw(model):
@@ -452,9 +473,8 @@ def _sinc2_shape(dnu_ghz, bandwidth_ghz):
     alpha = 2.0 * _HALF_SINC2 / bandwidth_ghz
     x = alpha * np.asarray(dnu_ghz, dtype=float)
     out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
-    return out
+    np.divide(np.sin(x), x, out=out, where=x != 0)
+    return np.square(out, out=out)
 
 
 def _shape_norm_ghz(bandwidth_ghz):
@@ -466,19 +486,31 @@ _BASE_STEP_GHZ = 0.25     # resolves 5.5 GHz etalon teeth
 _GRID_SPAN = 3.2          # quadrature span in bandwidths
 
 
-def _quadrature_grid(model, filters):
-    nu0 = model.output_center_ghz
-    half = _GRID_SPAN * model.noise_bandwidth_ghz
-    grids = [np.arange(nu0 - half, nu0 + half, _BASE_STEP_GHZ)]
+def _stack_integrals(filters, center_ghz, bandwidth_ghz):
+    """Pump-independent overlaps of a filter stack with the background band.
+
+    Returns (sinc2, floor): the stack transmission integrated against the
+    unit-area sinc^2 band (FWHM bandwidth_ghz, centered at center_ghz) and
+    against the unit-density flat floor spanning +-_FLOOR_EXTENT bandwidths
+    (GHz). One trapezoid quadrature on a base grid refined around every
+    narrow filter inside the span.
+    """
+    half = _GRID_SPAN * bandwidth_ghz
+    grids = [np.arange(center_ghz - half, center_ghz + half, _BASE_STEP_GHZ)]
     for f in filters:
         if f.kind in ("etalon", "gaussian_spectrometer"):
             continue
-        if f.fwhm_ghz < 20 * _BASE_STEP_GHZ:
-            fc = f.center_ghz
-            if abs(fc - nu0) < half:
-                grids.append(np.arange(fc - 80 * f.fwhm_ghz, fc + 80 * f.fwhm_ghz,
-                                       f.fwhm_ghz / 40.0))
-    return np.unique(np.concatenate(grids))
+        if f.fwhm_ghz < 20 * _BASE_STEP_GHZ and abs(f.center_ghz - center_ghz) < half:
+            grids.append(np.arange(f.center_ghz - 80 * f.fwhm_ghz,
+                                   f.center_ghz + 80 * f.fwhm_ghz, f.fwhm_ghz / 40.0))
+    # the base grid alone is already sorted and unique
+    nu = np.unique(np.concatenate(grids)) if len(grids) > 1 else grids[0]
+    t = stack_transmission(filters, nu)
+    dnu = nu - center_ghz
+    sinc2 = np.trapezoid(_sinc2_shape(dnu, bandwidth_ghz) * t, nu) \
+        / _shape_norm_ghz(bandwidth_ghz)
+    floor = np.trapezoid(np.where(np.abs(dnu) <= _FLOOR_EXTENT * bandwidth_ghz, t, 0.0), nu)
+    return float(sinc2), float(floor)
 
 
 def _optical_density(nu_ghz, pump_power_mw, model):
@@ -494,77 +526,56 @@ def _optical_density(nu_ghz, pump_power_mw, model):
 
 def cascade_rate(pump_power_mw, filters, model):
     """Quadratic cascade background through a filter stack (Hz)."""
-    if pump_power_mw == 0:
-        return 0.0
-    nu = _quadrature_grid(model, filters)
-    bw = model.noise_bandwidth_ghz
-    quad_total = model.noise_quad_hz_per_mw2 * pump_power_mw ** 2
-    dens = quad_total * _sinc2_shape(nu - model.output_center_ghz, bw) / _shape_norm_ghz(bw)
-    return float(np.trapezoid(dens * stack_transmission(filters, nu), nu))
+    p = _pump_powers(pump_power_mw)
+    sinc2, _ = _stack_integrals(filters, model.output_center_ghz, model.noise_bandwidth_ghz)
+    return _scalar_or_array(model.noise_quad_hz_per_mw2 * p ** 2 * sinc2)
 
 
 def inband_floor_rate(pump_power_mw, filters, model):
     """Flat in-band luminescence floor through a filter stack (Hz)."""
-    if pump_power_mw == 0:
-        return 0.0
-    nu = _quadrature_grid(model, filters)
-    dnu = nu - model.output_center_ghz
-    bw = model.noise_bandwidth_ghz
-    dens = np.where(np.abs(dnu) <= _FLOOR_EXTENT * bw,
-                    model.noise_floor_density_hz_per_ghz_mw * pump_power_mw, 0.0)
-    return float(np.trapezoid(dens * stack_transmission(filters, nu), nu))
+    p = _pump_powers(pump_power_mw)
+    _, floor = _stack_integrals(filters, model.output_center_ghz, model.noise_bandwidth_ghz)
+    return _scalar_or_array(model.noise_floor_density_hz_per_ghz_mw * p * floor)
 
 
 def noise_rate(pump_power_mw, filters, model, include_detector=True):
     """Detector count rate without any input light (Hz).
+
+    Closed form in pump power P (mW):
+    quad * P^2 * S + floor_density * P * F [+ dark + stray * P], where S and
+    F are the stack's overlaps with the unit-area sinc^2 band and the flat
+    floor, from one quadrature whatever the number of powers. P is a scalar
+    (returns a float) or an array (returns an array, element k equal to the
+    scalar call at P[k]); any P < 0 raises ValueError, and P = 0 gives the
+    dark rate exactly.
 
     include_detector=True adds the detector-path terms (dark counts and
     stray fluorescence that bypasses the spectral stack); set it False for
     projections where a narrow spectral acceptor replaces the detector,
     e.g. estimating the background an atomic line would admit.
     """
-    if pump_power_mw < 0:
-        raise ValueError("pump power must be >= 0")
-    rate = cascade_rate(pump_power_mw, filters, model) \
-        + inband_floor_rate(pump_power_mw, filters, model)
+    p = _pump_powers(pump_power_mw)
+    sinc2, floor = _stack_integrals(filters, model.output_center_ghz,
+                                    model.noise_bandwidth_ghz)
+    rate = model.noise_quad_hz_per_mw2 * p ** 2 * sinc2 \
+        + model.noise_floor_density_hz_per_ghz_mw * p * floor
     if include_detector:
-        rate += model.dark_count_rate_hz \
-            + model.detector_stray_hz_per_mw * pump_power_mw
-    return rate
+        rate = rate + (model.dark_count_rate_hz + model.detector_stray_hz_per_mw * p)
+    return _scalar_or_array(rate)
 
 
 def band_fraction(filters, center_nm, bandwidth_ghz):
     """Fraction of a sinc^2 band (FWHM bandwidth, centered at center_nm)
     that a filter stack transmits. Pump-power independent."""
-    nu0 = C_NM_GHZ / center_nm
-    half = _GRID_SPAN * bandwidth_ghz
-    grids = [np.arange(nu0 - half, nu0 + half, _BASE_STEP_GHZ)]
-    for f in filters:
-        if f.kind in ("etalon", "gaussian_spectrometer"):
-            continue
-        if f.fwhm_ghz < 20 * _BASE_STEP_GHZ and abs(f.center_ghz - nu0) < half:
-            grids.append(np.arange(f.center_ghz - 80 * f.fwhm_ghz,
-                                   f.center_ghz + 80 * f.fwhm_ghz, f.fwhm_ghz / 40.0))
-    nu = np.unique(np.concatenate(grids))
-    shape = _sinc2_shape(nu - nu0, bandwidth_ghz)
-    return float(np.trapezoid(shape * stack_transmission(filters, nu), nu)
-                 / _shape_norm_ghz(bandwidth_ghz))
-
-
-def broadband_stack_factor(filters, model):
-    """Fraction of the cascade spectrum a stack transmits (vs no filtering).
-
-    Used by the event generator to thin converted cascade photons; equals
-    cascade_rate / (quad coefficient * P^2) and is pump-power independent.
-    """
-    return band_fraction(filters, model.lambda_output_nm, model.noise_bandwidth_ghz)
+    return _stack_integrals(filters, C_NM_GHZ / center_nm, bandwidth_ghz)[0]
 
 
 def detected_signal_rate(model, pump_power_mw, losses, filters):
     """Predicted detector rate with the nominal input flux present (Hz).
 
     input_flux * eta_loss * eta_ext(P) + noise_rate(P); the etalon factor
-    joins eta_loss only when an etalon is actually in the stack.
+    joins eta_loss only when an etalon is actually in the stack. P may be
+    a scalar or an array of powers, as for noise_rate.
     """
     with_etalon = any(f.kind == "etalon" for f in filters)
     eta_ext = conversion_efficiency(pump_power_mw, model, internal=False, losses=losses)
@@ -610,6 +621,18 @@ class BinnedSpectrum:
 DEFAULT_RESOLUTION_FWHM_NM = 0.15
 
 
+def _gaussian_blur(y, sigma_bins):
+    """y convolved with a normalised Gaussian kernel (radius int(4 sigma + 0.5)
+    bins) with zeros beyond both ends, by FFT; same length as y."""
+    radius = int(4.0 * sigma_bins + 0.5)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma_bins * sigma_bins) * x ** 2)
+    kernel /= kernel.sum()
+    n = fft.next_fast_len(y.size + 2 * radius, real=True)
+    full = fft.irfft(fft.rfft(y, n) * fft.rfft(kernel, n), n)
+    return full[radius:radius + y.size]
+
+
 def noise_spectrum(pump_power_mw, filters, model, grid_edges_nm, floor_per_bin_hz=0.0):
     """Background spectrum binned onto a wavelength grid (Hz per bin).
 
@@ -637,7 +660,7 @@ def noise_spectrum(pump_power_mw, filters, model, grid_edges_nm, floor_per_bin_h
     hi = nu_edges.max() + 5 * sigma_ghz
     nu = np.arange(lo, hi, _BASE_STEP_GHZ)
     dens = _optical_density(nu, pump_power_mw, model) * stack_transmission(stack, nu)
-    dens = gaussian_filter1d(dens, sigma_ghz / _BASE_STEP_GHZ, mode="constant")
+    dens = _gaussian_blur(dens, sigma_ghz / _BASE_STEP_GHZ)
 
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(nu))])
     cum_at = np.interp(nu_edges, nu, cum)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,33 @@ def model():
 @pytest.fixture(scope="module")
 def losses():
     return bundled_losses()
+
+
+# bundled_model() field values, pinned when the calibration spelled the
+# unit-area sinc^2 norm as a literal instead of spectral._shape_norm_ghz
+_PINNED_BUNDLED_MODEL = {
+    "length_mm": 9.6,
+    "poling_period_um": 2.535,
+    "lambda_input_nm": 1311.0,
+    "lambda_pump_nm": 514.5,
+    "eta_nor_per_mw_mm2": 8.813664923135376e-06,
+    "uv_absorption_per_mw": 0.002,
+    "pair_rate_per_mw": 250713.01606914838,
+    "noise_bandwidth_ghz": 13140.0,
+    "noise_quad_hz_per_mw2": 15.344318770979738,
+    "noise_floor_density_hz_per_ghz_mw": 7.610350076103501e-05,
+    "detector_stray_hz_per_mw": 20.0,
+    "input_flux_hz": 6000000.0,
+    "dark_count_rate_hz": 13.0,
+}
+
+
+class TestBundledCalibration:
+    def test_shared_norm_leaves_model_unchanged(self, model):
+        literal_norm = np.pi * 13140.0 / (2.0 * 1.39155737825151)
+        quad = 1.3 * literal_norm / (200.0 ** 2 * 0.5 * np.pi * 0.02)
+        assert model.noise_quad_hz_per_mw2 == quad
+        assert asdict(model) == _PINNED_BUNDLED_MODEL
 
 
 class TestConfigFiles:
@@ -100,6 +127,15 @@ class TestScenarios:
         run_scenario(sc, model, losses, output_dir=out2, global_seed=7)
         a = (out1 / "eff_efficiency.csv").read_bytes()
         b = (out2 / "eff_efficiency.csv").read_bytes()
+        assert a == b
+
+    def test_deterministic_fine_spectrum(self, tmp_path, model, losses):
+        sc = Scenario("ns", "noise_spectrum")
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        run_scenario(sc, model, losses, output_dir=out1, global_seed=7)
+        run_scenario(sc, model, losses, output_dir=out2, global_seed=7)
+        a = (out1 / "ns_spectrum_fine.csv").read_bytes()
+        b = (out2 / "ns_spectrum_fine.csv").read_bytes()
         assert a == b
 
     def test_seed_changes_simulated_output(self, tmp_path, model, losses):

@@ -91,6 +91,19 @@ class TestHamiltonians:
             assert occ[i, 0] == occ[j, 0]
             assert {(occ[i, 1], occ[i, 2]), (occ[j, 1], occ[j, 2])} == {(1, 0), (0, 1)}
 
+    def test_direct_build_equals_dense_ladder_products(self):
+        # oracle: the generators multiplied out from the single-mode ladders
+        for n in (1, 2, 3, 5):
+            basis = FockBasis(n_max=n)
+            a_s, a_i, a_o = (build_annihilator(basis, m).matrix for m in basis.modes)
+            p = params(kappa=0.7, gamma=1.1, amp=0.3)
+            pair = 1j * p.gamma * p.pump_amplitude * (a_s @ a_i)
+            conv = 1j * p.kappa * p.pump_amplitude * (a_i.conj().T @ a_o)
+            assert np.array_equal(build_spdc_hamiltonian(basis, p).matrix,
+                                  pair + pair.conj().T)
+            assert np.array_equal(build_qfc_hamiltonian(basis, p).matrix,
+                                  conv + conv.conj().T)
+
     def test_hermitian_random_params(self):
         # oracle: conjugate transpose
         rng = np.random.default_rng(3)

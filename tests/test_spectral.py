@@ -347,3 +347,169 @@ class TestLossBudget:
         f_bp = band_fraction(uv_stack(model), model.lambda_output_nm,
                              model.noise_bandwidth_ghz)
         assert 0.5 < f_bp < 0.8
+
+
+# ---------------------------------------------------------------------------
+# slow oracles for the closed-form rates and the FFT spectrometer blur
+
+def _oracle_grid(filters, nu0, bandwidth_ghz):
+    # per-call quadrature grid: 0.25 GHz over +-3.2 bandwidths, refined at
+    # 1/40 of the width around every narrow non-etalon filter in the span
+    half = 3.2 * bandwidth_ghz
+    grids = [np.arange(nu0 - half, nu0 + half, 0.25)]
+    for f in filters:
+        if f.kind in ("etalon", "gaussian_spectrometer"):
+            continue
+        if f.fwhm_ghz < 5.0 and abs(f.center_ghz - nu0) < half:
+            grids.append(np.arange(f.center_ghz - 80 * f.fwhm_ghz,
+                                   f.center_ghz + 80 * f.fwhm_ghz, f.fwhm_ghz / 40.0))
+    return np.unique(np.concatenate(grids))
+
+
+def _oracle_sinc2(dnu, bandwidth_ghz):
+    x = 2.0 * 1.39155737825151 / bandwidth_ghz * dnu
+    return np.sinc(x / np.pi) ** 2
+
+
+def _oracle_rates(p, filters, model):
+    """(cascade, floor) rates at one pump power: the density times the stack,
+    trapezoid-integrated on a freshly built grid."""
+    nu0 = model.output_center_ghz
+    bw = model.noise_bandwidth_ghz
+    nu = _oracle_grid(filters, nu0, bw)
+    dnu = nu - nu0
+    t = stack_transmission(filters, nu)
+    dens = model.noise_quad_hz_per_mw2 * p ** 2 * _oracle_sinc2(dnu, bw) \
+        / (np.pi * bw / (2.0 * 1.39155737825151))
+    floor = np.where(np.abs(dnu) <= 1.5 * bw,
+                     model.noise_floor_density_hz_per_ghz_mw * p, 0.0)
+    return float(np.trapezoid(dens * t, nu)), float(np.trapezoid(floor * t, nu))
+
+
+def _oracle_band_fraction(filters, center_nm, bandwidth_ghz):
+    nu0 = C_NM_GHZ / center_nm
+    nu = _oracle_grid(filters, nu0, bandwidth_ghz)
+    area = np.trapezoid(_oracle_sinc2(nu - nu0, bandwidth_ghz)
+                        * stack_transmission(filters, nu), nu)
+    return float(area / (np.pi * bandwidth_ghz / (2.0 * 1.39155737825151)))
+
+
+_ORACLE_STACKS = ("bandpass", "bandpass+etalon", "bandpass+line", "none", "vbg",
+                  "offcenter_line", "airy_comb")
+
+
+def _oracle_stack(name, model):
+    lam0 = model.lambda_output_nm
+    return {
+        "bandpass": uv_stack(model),
+        "bandpass+etalon": uv_stack(model, etalon=True),
+        "bandpass+line": (uv_bandpass(model), narrowline_filter(model)),
+        "none": (),
+        "vbg": (SpectralFilter.vbg_nm(lam0, 1.0),),
+        "offcenter_line": (SpectralFilter.line_mhz(lam0 + 0.4, 300.0),),
+        "airy_comb": (SpectralFilter.etalon(lam0, order_envelope_fwhm_ghz=np.inf),),
+    }[name]
+
+
+_ORACLE_POWERS = (0.0, 1e-3, 25.0, 200.0, 400.0, 1000.0)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("name", _ORACLE_STACKS)
+    def test_rates_match_per_call_quadrature(self, model, name):
+        stack = _oracle_stack(name, model)
+        for p in _ORACLE_POWERS:
+            casc, floor = _oracle_rates(p, stack, model)
+            detector = model.dark_count_rate_hz + model.detector_stray_hz_per_mw * p
+            assert _close(cascade_rate(p, stack, model), casc), p
+            assert _close(inband_floor_rate(p, stack, model), floor), p
+            assert _close(noise_rate(p, stack, model), casc + floor + detector), p
+            assert _close(noise_rate(p, stack, model, include_detector=False),
+                          casc + floor), p
+        assert noise_rate(0.0, stack, model) == model.dark_count_rate_hz
+
+    @pytest.mark.parametrize("name", _ORACLE_STACKS)
+    def test_band_fraction_matches_quadrature(self, model, name):
+        stack = _oracle_stack(name, model)
+        for center_nm, bw in ((model.lambda_output_nm, model.noise_bandwidth_ghz),
+                              (model.lambda_output_nm + 0.3, 2000.0)):
+            assert _close(band_fraction(stack, center_nm, bw),
+                          _oracle_band_fraction(stack, center_nm, bw))
+
+    @pytest.mark.parametrize("name", _ORACLE_STACKS)
+    def test_array_powers_equal_scalar_calls(self, model, name):
+        stack = _oracle_stack(name, model)
+        powers = np.array(_ORACLE_POWERS)
+        for fn in (cascade_rate, inband_floor_rate, noise_rate):
+            got = fn(powers, stack, model)
+            assert isinstance(got, np.ndarray) and got.shape == powers.shape
+            assert np.array_equal(got, [fn(p, stack, model) for p in powers])
+            assert type(fn(25.0, stack, model)) is float
+        grid = powers.reshape(2, 3)
+        assert np.array_equal(noise_rate(grid, stack, model),
+                              noise_rate(powers, stack, model).reshape(2, 3))
+
+    def test_detected_rate_accepts_power_arrays(self, model, losses):
+        stack = uv_stack(model, etalon=True)
+        powers = np.array(_ORACLE_POWERS)
+        got = detected_signal_rate(model, powers, losses, stack)
+        assert np.array_equal(got, [detected_signal_rate(model, p, losses, stack)
+                                    for p in powers])
+
+    def test_negative_entry_rejected(self, model):
+        powers = np.array([0.0, 10.0, -1e-9])
+        for fn in (cascade_rate, inband_floor_rate, noise_rate):
+            with pytest.raises(ValueError):
+                fn(powers, uv_stack(model), model)
+            with pytest.raises(ValueError):
+                fn(-1.0, uv_stack(model), model)
+
+    def test_bandwidth_change_follows_the_oracle(self, model):
+        narrow = replace(model, noise_bandwidth_ghz=4000.0)
+        for stack in (uv_stack(model), uv_stack(model, etalon=True)):
+            base = noise_rate(200.0, stack, model)
+            got = noise_rate(200.0, stack, narrow)
+            assert got != base
+            casc, floor = _oracle_rates(200.0, stack, narrow)
+            want = casc + floor + narrow.dark_count_rate_hz \
+                + narrow.detector_stray_hz_per_mw * 200.0
+            assert _close(got, want)
+
+
+def _oracle_spectrum(p, filters, model, edges, floor_per_bin_hz=0.0):
+    """noise_spectrum with the spectrometer blur as a direct-space filter."""
+    from scipy.ndimage import gaussian_filter1d
+    from qfclab.spectral import _optical_density
+    edges = np.asarray(edges, dtype=float)
+    stack = [f for f in filters if f.kind != "gaussian_spectrometer"]
+    res = [f.fwhm_ghz for f in filters if f.kind == "gaussian_spectrometer"]
+    fwhm = res[0] if res else 0.15 * C_NM_GHZ / model.lambda_output_nm ** 2
+    sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    nu_edges = C_NM_GHZ / edges
+    nu = np.arange(nu_edges.min() - 5 * sigma, nu_edges.max() + 5 * sigma, 0.25)
+    dens = _optical_density(nu, p, model) * stack_transmission(stack, nu)
+    dens = gaussian_filter1d(dens, sigma / 0.25, mode="constant")
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(nu))])
+    cum_at = np.interp(nu_edges, nu, cum)
+    return np.abs(cum_at[:-1] - cum_at[1:]) + floor_per_bin_hz
+
+
+class TestSpectrumBlurOracle:
+    @pytest.mark.parametrize("grid", ("coarse", "fine"))
+    @pytest.mark.parametrize("stack_name", ("bandpass", "bandpass+etalon", "bare"))
+    def test_fft_blur_matches_direct_filter(self, model, grid, stack_name):
+        lam0 = model.lambda_output_nm
+        if grid == "coarse":
+            edges, floor = lam0 - 0.25 + 0.5 * np.arange(-8, 10), 40.0
+        else:
+            edges, floor = np.arange(lam0 - 4.0, lam0 + 4.05, 0.1), 0.0
+        stack = {"bandpass": uv_stack(model) + (uv_spectrometer(model),),
+                 "bandpass+etalon": uv_stack(model, etalon=True) + (uv_spectrometer(model),),
+                 "bare": ()}[stack_name]
+        got = noise_spectrum(200.0, stack, model, edges, floor_per_bin_hz=floor).rates_hz
+        want = _oracle_spectrum(200.0, stack, model, edges, floor_per_bin_hz=floor)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
