@@ -7,8 +7,7 @@ from ._kernels import backend_name
 from .spectral import (ConverterModel, LossBudget, SpectralFilter,
                        WavelengthTriple, conversion_efficiency,
                        detected_signal_rate, energy_gap, filter_transmission,
-                       noise_rate, noise_spectrum, phasematching_response,
-                       qpm_mismatch, sfg_output_wavelength,
+                       noise_rate, noise_spectrum, sfg_output_wavelength,
                        spdc_signal_wavelength)
 from .fock import (CouplingParams, FockBasis, FockOperator, FockState,
                    build_annihilator, build_qfc_hamiltonian,

@@ -16,7 +16,7 @@ from . import _kernels
 from .config import (bundled_losses, bundled_model, narrowline_filter, uv_stack)
 from .fock import (CouplingParams, FockBasis, build_qfc_hamiltonian,
                    build_spdc_hamiltonian, cascaded_evolution, evolution_operator,
-                   evolve, number_state, truncation_delta)
+                   evolve, number_state, observables_with_truncation_check)
 from .montecarlo import TagStream
 from .scenarios import (compute_coincidence_si, compute_coincidence_so,
                         compute_efficiency_sweep, compute_noise_spectrum,
@@ -92,9 +92,9 @@ def check_fock_engine(model, losses, printer=None):
     # stability gate at the low acceptance gain; the thermal autocorrelation
     # deficit grows as ~4*gain^4, so higher gains legitimately trip the
     # truncation-limited flag instead (exercised in the unit tests)
-    delta = truncation_delta(
+    delta = observables_with_truncation_check(
         CouplingParams(kappa=1.0, gamma=1.0, pump_amplitude=0.02,
-                       interaction_time=1.0), n_max=3)
+                       interaction_time=1.0), n_max=3).truncation_delta
 
     ok = (worst_unitary < 1e-10 and worst_bs < 1e-8 and worst_prop <= 0.05
           and delta < 1e-6)

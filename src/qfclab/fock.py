@@ -137,9 +137,6 @@ class FockOperator:
     basis: FockBasis
     matrix: np.ndarray
 
-    def dagger(self):
-        return FockOperator(self.basis, self.matrix.conj().T)
-
     def is_hermitian(self, tol=1e-12):
         scale = max(1.0, np.abs(self.matrix).max())
         return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
@@ -256,23 +253,12 @@ def evolution_operator(hamiltonian, time):
                         (v * np.exp(1j * time * w)) @ v.conj().T)
 
 
-def cascaded_evolution(basis, params, joint=False, tolerance=1e-10):
-    """Vacuum through pair generation then conversion.
-
-    Default is the sequential product U_conv * U_pair applied to |0,0,0>,
-    i.e. two successive exponentials. joint=True instead exponentiates the
-    summed generator once (sensitivity-study variant; not equivalent because
-    the two Hamiltonians do not commute).
-    """
-    h_pair = build_spdc_hamiltonian(basis, params)
-    h_conv = build_qfc_hamiltonian(basis, params)
+def cascaded_evolution(basis, params):
+    """Vacuum through pair generation then conversion: the sequential
+    product U_conv * U_pair applied to |0,0,0>."""
     t = params.interaction_time
-    state = vacuum(basis)
-    if joint:
-        h_sum = FockOperator(basis, h_pair.matrix + h_conv.matrix)
-        return evolve(state, h_sum, t, tolerance)
-    state = evolve(state, h_pair, t, tolerance)
-    return evolve(state, h_conv, t, tolerance)
+    state = evolve(vacuum(basis), build_spdc_hamiltonian(basis, params), t)
+    return evolve(state, build_qfc_hamiltonian(basis, params), t)
 
 
 @dataclass
@@ -338,34 +324,25 @@ def correlation_observables(state, pairs=(("signal", "idler"), ("signal", "outpu
                                n_max=basis.n_max)
 
 
-def truncation_delta(params, n_max, joint=False):
-    """Max scaled change of the reported observables when n_max grows by one.
-
-    The change is absolute for order-unity quantities and relative for
-    larger ones (low-gain cross-correlations are O(1/<n>) and would otherwise
-    dominate with pure float noise).
-    """
-    vals = []
-    for n in (n_max, n_max + 1):
-        st = cascaded_evolution(FockBasis(n_max=n), params, joint=joint)
-        obs = correlation_observables(st)
-        rec = obs.as_record()
-        vals.append(np.array([rec[k] for k in sorted(rec)
-                              if isinstance(rec[k], float)]))
-    scale = np.maximum(1.0, np.maximum(np.abs(vals[0]), np.abs(vals[1])))
-    return float((np.abs(vals[0] - vals[1]) / scale).max())
+def _float_observables(obs):
+    rec = obs.as_record()
+    return np.array([rec[k] for k in sorted(rec) if isinstance(rec[k], float)])
 
 
-def observables_with_truncation_check(params, n_max=3, limit=1e-6, joint=False):
+def observables_with_truncation_check(params, n_max=3, limit=1e-6):
     """Cascaded-state observables plus a truncation-stability flag.
 
-    The flag is set when growing the basis by one photon moves any reported
-    observable by more than `limit`; results should then be treated as
-    truncation-limited and recomputed at higher n_max.
+    truncation_delta is the max scaled change of the reported observables
+    when n_max grows by one: absolute for order-unity quantities and
+    relative for larger ones (low-gain cross-correlations are O(1/<n>) and
+    would otherwise dominate with pure float noise). The flag is set when
+    it exceeds `limit`; results should then be treated as truncation-limited
+    and recomputed at higher n_max.
     """
-    state = cascaded_evolution(FockBasis(n_max=n_max), params, joint=joint)
-    obs = correlation_observables(state)
-    delta = truncation_delta(params, n_max, joint=joint)
-    obs.truncation_delta = delta
-    obs.truncation_limited = bool(delta > limit)
+    obs = correlation_observables(cascaded_evolution(FockBasis(n_max=n_max), params))
+    grown = correlation_observables(cascaded_evolution(FockBasis(n_max=n_max + 1), params))
+    vals, grown_vals = _float_observables(obs), _float_observables(grown)
+    scale = np.maximum(1.0, np.maximum(np.abs(vals), np.abs(grown_vals)))
+    obs.truncation_delta = float((np.abs(vals - grown_vals) / scale).max())
+    obs.truncation_limited = bool(obs.truncation_delta > limit)
     return obs

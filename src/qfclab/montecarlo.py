@@ -79,8 +79,6 @@ class ChannelConfig:
     dead_time_ns: float = 50.0
     dark_hz: float = 0.0
     luminescence_hz_per_mw: float = 0.0
-    center_nm: float = None          # spectral center of this channel's band
-    bandwidth_ghz: float = None      # pair-photon spectral width at this channel
 
     def __post_init__(self):
         if self.jitter_fwhm_ps < 0 or self.dead_time_ns < 0:
@@ -113,13 +111,10 @@ def _pair_acceptance(cfg, model, channel):
     """Spectral fraction of pair photons passing a channel's filter stack."""
     if not cfg.filters:
         return 1.0
-    center = cfg.center_nm
-    if center is None:
-        center = {"signal": model.lambda_signal_nm,
-                  "idler": model.lambda_input_nm,
-                  "output": model.lambda_output_nm}[channel]
-    bw = cfg.bandwidth_ghz if cfg.bandwidth_ghz is not None else model.noise_bandwidth_ghz
-    return band_fraction(cfg.filters, center, bw)
+    center = {"signal": model.lambda_signal_nm,
+              "idler": model.lambda_input_nm,
+              "output": model.lambda_output_nm}[channel]
+    return band_fraction(cfg.filters, center, model.noise_bandwidth_ghz)
 
 
 def branch_rates(scenario, model):

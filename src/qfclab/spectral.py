@@ -1,6 +1,6 @@
-"""Deterministic device physics: energy bookkeeping, quasi-phase-matching,
-conversion efficiency with pump-induced saturation, spectral filters, and the
-pump-power scaling of the background counts.
+"""Deterministic device physics: energy bookkeeping, conversion efficiency
+with pump-induced saturation, spectral filters, and the pump-power scaling
+of the background counts.
 
 Unit conventions, fixed at this module's boundary: vacuum wavelengths in nm,
 frequencies in GHz (THz only where a signature says so), pump powers in mW,
@@ -41,7 +41,6 @@ live.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import fft
@@ -50,10 +49,6 @@ C_NM_GHZ = 2.99792458e8          # c expressed as nm * GHz
 HC_EV_NM = 1239.8419843320025    # h*c/e in eV*nm
 _HALF_SINC2 = 1.39155737825151   # sinc^2(x) = 1/2 at this x
 _LN16 = 4.0 * math.log(2.0)
-
-
-class DispersionRangeError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +128,8 @@ class ConverterModel:
     P_eff = P * exp(-c * P) (phenomenological pump-induced UV absorption).
     Background coefficients are detector-plane values (fixed path losses
     folded in); see the module docstring for the component layout.
+    poling_period_um describes the device only: the phase-matching band
+    enters the model through its sinc^2 FWHM, noise_bandwidth_ghz.
     """
 
     length_mm: float = 9.6
@@ -323,109 +320,6 @@ def stack_transmission(filters, frequency_ghz):
 
 
 # ---------------------------------------------------------------------------
-# quasi-phase-matching
-
-@dataclass(frozen=True)
-class BandLinearDispersion:
-    """Piecewise-linear effective index, one segment per wavelength band.
-
-    bands: tuple of (lo_nm, hi_nm, ref_nm, n_ref, slope_per_nm). This is a
-    calibration construct, not a material model: the output-band anchor is
-    chosen so the mismatch vanishes at the operating point and the infrared
-    slope is tuned to reproduce the device's observed acceptance bandwidth.
-    A Sellmeier-style function can be passed anywhere a dispersion callable
-    is accepted.
-    """
-
-    bands: tuple
-
-    def __call__(self, lambda_nm):
-        for lo, hi, ref, n_ref, slope in self.bands:
-            if lo <= lambda_nm <= hi:
-                return n_ref + slope * (lambda_nm - ref)
-        raise DispersionRangeError(f"dispersion undefined at {lambda_nm} nm")
-
-
-def qpm_mismatch(triple, model, dispersion):
-    """Residual wavevector mismatch after grating compensation, rad/mm."""
-    n_o = dispersion(triple.lambda_output)
-    n_p = dispersion(triple.lambda_pump)
-    n_i = dispersion(triple.lambda_input)
-    per_nm = (n_o / triple.lambda_output - n_p / triple.lambda_pump
-              - n_i / triple.lambda_input - 1.0 / (model.poling_period_um * 1e3))
-    return 2.0 * math.pi * per_nm * 1e6
-
-
-def phasematching_response(delta_k_rad_mm, length_mm):
-    """Normalized sinc^2(delta_k * L / 2) efficiency envelope."""
-    if length_mm <= 0:
-        raise ValueError("length must be positive")
-    x = np.asarray(delta_k_rad_mm, dtype=float) * length_mm / 2.0
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _tuned_ir_slope(model, n_i_ref, n_p_ref, b_uv):
-    """Infrared index slope giving the configured acceptance bandwidth.
-
-    The mismatch at the half-response point is linear in the slope, so the
-    tuning is solved in closed form: of the two slopes putting the half
-    point at |dk| L/2 = 1.3916, the smaller-magnitude one is used.
-    """
-    lam_i0 = model.lambda_input_nm
-    lam_o0 = model.lambda_output_nm
-    # half-width of the response in output frequency
-    dnu_half = model.noise_bandwidth_ghz / 2.0
-    lam_o_half = C_NM_GHZ / (C_NM_GHZ / lam_o0 + dnu_half)
-    lam_i_half = 1.0 / (1.0 / lam_o_half - 1.0 / model.lambda_pump_nm)
-    dk_half = 2.0 * _HALF_SINC2 / model.length_mm
-
-    n_o_ref = lam_o0 * (1.0 / (model.poling_period_um * 1e3)
-                        + n_p_ref / model.lambda_pump_nm + n_i_ref / lam_i0)
-
-    def mismatch(b_ir):
-        disp = BandLinearDispersion((
-            (300.0, 450.0, lam_o0, n_o_ref, b_uv),
-            (450.0, 600.0, model.lambda_pump_nm, n_p_ref, -3.0e-4),
-            (1000.0, 1700.0, lam_i0, n_i_ref, b_ir),
-        ))
-        tr = WavelengthTriple.from_input_pump(lam_i_half, model.lambda_pump_nm)
-        return qpm_mismatch(tr, model, disp)
-
-    dk0 = mismatch(0.0)
-    slope = (mismatch(-1e-4) - dk0) / -1e-4
-    candidates = [(dk_half - dk0) / slope, (-dk_half - dk0) / slope]
-    return n_o_ref, min(candidates, key=abs)
-
-
-@lru_cache(maxsize=8)
-def _bundled_dispersion_cached(key):
-    model = ConverterModel(*key)
-    n_i_ref, n_p_ref, b_uv = 1.816, 1.889, -2.5e-3
-    n_o_ref, b_ir = _tuned_ir_slope(model, n_i_ref, n_p_ref, b_uv)
-    return BandLinearDispersion((
-        (300.0, 450.0, model.lambda_output_nm, n_o_ref, b_uv),
-        (450.0, 600.0, model.lambda_pump_nm, n_p_ref, -3.0e-4),
-        (1000.0, 1700.0, model.lambda_input_nm, n_i_ref, b_ir),
-    ))
-
-
-def bundled_dispersion(model):
-    """Linearized dispersion calibrated to the model's operating point.
-
-    Anchored so the mismatch is exactly zero at the nominal wavelengths and
-    the sinc^2 acceptance FWHM (in output frequency) equals
-    model.noise_bandwidth_ghz.
-    """
-    from dataclasses import astuple
-    return _bundled_dispersion_cached(astuple(model))
-
-
-# ---------------------------------------------------------------------------
 # conversion efficiency
 
 def _pump_powers(pump_power_mw):
@@ -470,6 +364,7 @@ def saturation_turnover_mw(model):
 # background-count model
 
 def _sinc2_shape(dnu_ghz, bandwidth_ghz):
+    # unit-peak phase-matching band sinc^2(alpha * dnu) with FWHM bandwidth_ghz
     alpha = 2.0 * _HALF_SINC2 / bandwidth_ghz
     x = alpha * np.asarray(dnu_ghz, dtype=float)
     out = np.ones_like(x)

@@ -9,12 +9,15 @@ Binary (.qtag), little-endian:
     count * u64 timestamps in ps
 
 CSV: two columns (channel, timestamp_ps) after a single comment line
-carrying the duration, so binary -> csv -> binary round-trips bit-exactly.
+carrying the duration and the channel ids (``channels=0,1``), so
+binary -> csv -> binary round-trips bit-exactly, also for a channel
+without tags. Files whose comment line has no channel ids still read.
 A CSV file may hold several channels; rows must be grouped per channel and
 time-ordered within each group.
 """
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,8 @@ MAGIC = b"QTAG"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")
 _PS = 1_000_000_000_000
+# rows formatted per write: keeps the transient text of a long stream small
+_CSV_ROWS_PER_WRITE = 1 << 16
 
 
 class TagFormatError(ValueError):
@@ -58,50 +63,66 @@ def read_qtag(path):
 
 
 def write_csv(path, streams):
-    """Write one or more streams as (channel, timestamp_ps) rows."""
+    """Write one or more streams as (channel, timestamp_ps) rows.
+
+    The comment line lists every stream's channel, so a channel without
+    tags survives the round trip.
+    """
     if isinstance(streams, TagStream):
         streams = [streams]
     duration_ps = max(int(round(s.duration_s * _PS)) for s in streams)
+    channels = ",".join(str(s.channel) for s in streams)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# qtag-csv v{VERSION} duration_ps={duration_ps}\n")
+        fh.write(f"# qtag-csv v{VERSION} duration_ps={duration_ps} channels={channels}\n")
         fh.write("channel,timestamp_ps\n")
         for s in streams:
             ch = s.channel
-            for t in s.tags:
-                fh.write(f"{ch},{t}\n")
+            for i in range(0, len(s.tags), _CSV_ROWS_PER_WRITE):
+                rows = s.tags[i:i + _CSV_ROWS_PER_WRITE].tolist()
+                fh.write("".join(f"{ch},{t}\n" for t in rows))
     return Path(path)
 
 
 def read_csv(path):
-    """Read a tag CSV back into a list of TagStreams (one per channel)."""
+    """Read a tag CSV back into a list of TagStreams (one per channel).
+
+    Channels listed on the comment line come first, in that order, each
+    with its tags or none; channels found only in the rows follow in file
+    order. A row that is not two integers raises ValueError.
+    """
     duration_ps = None
-    channels = []
-    tags = []
+    listed = []
     with open(path) as fh:
         first = fh.readline()
         if first.startswith("#"):
             for token in first.split():
-                if token.startswith("duration_ps="):
-                    duration_ps = int(token.split("=", 1)[1])
+                key, _, value = token.partition("=")
+                if key == "duration_ps":
+                    duration_ps = int(value)
+                elif key == "channels":
+                    listed = [int(c) for c in value.split(",") if c]
             header = fh.readline()
         else:
             header = first
         if header.strip() != "channel,timestamp_ps":
             raise TagFormatError(f"{path}: unexpected CSV header {header.strip()!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            ch, t = line.split(",")
-            channels.append(int(ch))
-            tags.append(int(t))
-    channels = np.array(channels, dtype=np.int64)
-    tags = np.array(tags, dtype=np.int64)
+        with warnings.catch_warnings():
+            # a header without rows is a valid file: no tags
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
+                              comments=None)
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    elif rows.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 columns per row, found {rows.shape[1]}")
+    channels, tags = rows[:, 0], rows[:, 1]
     if duration_ps is None:
         duration_ps = int(tags.max()) + 1 if len(tags) else _PS
+    _, first_row = np.unique(channels, return_index=True)
+    in_rows = channels[np.sort(first_row)].tolist()   # file order
     streams = []
-    for ch in dict.fromkeys(channels.tolist()):  # preserve file order
-        sel = tags[channels == ch]
-        streams.append(TagStream(int(ch), sel, duration_ps / _PS,
+    for ch in dict.fromkeys(listed + in_rows):
+        streams.append(TagStream(ch, tags[channels == ch], duration_ps / _PS,
                                  meta={"source": str(path)}))
     return streams

@@ -215,6 +215,16 @@ class TestCli:
                          str(tmp_path / "b.qtag")]) == 0
         assert src.read_bytes() == (tmp_path / "b.qtag").read_bytes()
 
+    def test_convert_round_trip_without_tags(self, tmp_path):
+        from qfclab.montecarlo import TagStream
+        from qfclab.tagio import write_qtag
+        src = tmp_path / "empty.qtag"
+        write_qtag(src, TagStream(3, np.array([], dtype=np.int64), 1.5))
+        assert cli.main(["convert", str(src), str(tmp_path / "x.csv")]) == 0
+        assert cli.main(["convert", str(tmp_path / "x.csv"),
+                         str(tmp_path / "y.qtag")]) == 0
+        assert src.read_bytes() == (tmp_path / "y.qtag").read_bytes()
+
     def test_convert_bad_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("")
         rc = cli.main(["convert", str(tmp_path / "x.txt"), str(tmp_path / "y.qtag")])

@@ -11,7 +11,7 @@ from qfclab.fock import (ConvergenceError, CouplingParams, FockBasis,
                          build_spdc_hamiltonian, cascaded_evolution,
                          correlation_observables, evolution_operator, evolve,
                          number_state, observables_with_truncation_check,
-                         truncation_delta, vacuum)
+                         vacuum)
 
 
 def params(kappa=1.0, gamma=1.0, amp=0.05, t=1.0):
@@ -238,20 +238,32 @@ class TestCascade:
         assert amp_ratio == pytest.approx(4.0, rel=0.01)
         assert pop_ratio == pytest.approx(16.0, rel=0.01)
 
-    def test_joint_variant_differs(self):
-        p = params(kappa=1.0, gamma=1.0, amp=0.5, t=1.0)
-        seq = cascaded_evolution(FockBasis(n_max=3), p)
-        joint = cascaded_evolution(FockBasis(n_max=3), p, joint=True)
-        assert not np.allclose(seq.amplitudes, joint.amplitudes)
-
     def test_truncation_stability_and_flag(self):
-        low = truncation_delta(params(amp=0.02), n_max=3)
-        assert low < 1e-6
         obs = observables_with_truncation_check(params(amp=0.02), n_max=3)
+        assert obs.truncation_delta < 1e-6
         assert obs.truncation_limited is False
         # thermal autocorrelation deficit ~4*gain^4 trips the flag at 0.05
         obs_hi = observables_with_truncation_check(params(amp=0.05), n_max=3)
         assert obs_hi.truncation_limited is True
+
+    def test_truncation_check_evolves_each_basis_once(self, monkeypatch):
+        # oracle: the scaled change of every float observable between
+        # separately evolved n_max and n_max + 1 states
+        p = params(amp=0.3)
+        recs = [correlation_observables(cascaded_evolution(FockBasis(n_max=n), p)).as_record()
+                for n in (4, 5)]
+        keys = [k for k in sorted(recs[0]) if isinstance(recs[0][k], float)]
+        expected = max(abs(recs[0][k] - recs[1][k]) / max(1.0, abs(recs[0][k]), abs(recs[1][k]))
+                       for k in keys)
+        seen = []
+        def counted(basis, params):
+            seen.append(basis.n_max)
+            return cascaded_evolution(basis, params)
+        monkeypatch.setattr(fock, "cascaded_evolution", counted)
+        obs = observables_with_truncation_check(p, n_max=4)
+        assert seen == [4, 5]
+        assert obs.truncation_delta == expected
+        assert obs.as_record() == recs[0] | {"truncation_limited": expected > 1e-6}
 
 
 class TestCorrelations:

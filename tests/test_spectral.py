@@ -6,14 +6,12 @@ from scipy.optimize import brentq
 
 from qfclab.config import (bundled_losses, bundled_model, narrowline_filter,
                            uv_bandpass, uv_etalon, uv_spectrometer, uv_stack)
-from qfclab.spectral import (C_NM_GHZ, DispersionRangeError, LossBudget,
-                             SpectralFilter,
-                             WavelengthTriple, band_fraction, bundled_dispersion,
+from qfclab.spectral import (C_NM_GHZ, LossBudget, SpectralFilter,
+                             WavelengthTriple, _sinc2_shape, band_fraction,
                              cascade_rate, conversion_efficiency,
                              detected_signal_rate, energy_gap,
                              filter_transmission, inband_floor_rate, noise_rate,
-                             noise_spectrum, phasematching_response,
-                             qpm_mismatch, saturation_turnover_mw,
+                             noise_spectrum, saturation_turnover_mw,
                              sfg_output_wavelength, spdc_signal_wavelength,
                              stack_transmission)
 
@@ -87,48 +85,21 @@ class TestWavelengths:
             WavelengthTriple(1311.0, 514.5, 400.0, 846.84)
 
 
-class TestQpm:
-    def test_zero_at_operating_point(self, model):
-        disp = bundled_dispersion(model)
-        tr = model.wavelengths()
-        assert abs(qpm_mismatch(tr, model, disp)) < 1e-9
-
-    def test_sign_flip_and_linearity(self, model):
-        # oracle: finite differences of the linearized dispersion
-        disp = bundled_dispersion(model)
-        def dk(detune_nm):
-            tr = WavelengthTriple.from_input_pump(1311.0 + detune_nm, 514.5)
-            return qpm_mismatch(tr, model, disp)
-        d1, d2 = dk(0.5), dk(1.0)
-        assert np.sign(dk(-0.5)) == -np.sign(d1)
-        assert d2 / d1 == pytest.approx(2.0, rel=1e-3)
-
-    def test_acceptance_bandwidth_matches_config(self, model):
-        # half-max of the response sits at +-noise_bandwidth/2 in output freq
-        disp = bundled_dispersion(model)
-        lam0 = model.lambda_output_nm
-        nu_half = C_NM_GHZ / lam0 + model.noise_bandwidth_ghz / 2
-        lam_in = 1.0 / (1.0 / (C_NM_GHZ / nu_half) - 1.0 / 514.5)
-        tr = WavelengthTriple.from_input_pump(lam_in, 514.5)
-        resp = phasematching_response(qpm_mismatch(tr, model, disp), model.length_mm)
-        assert resp == pytest.approx(0.5, abs=1e-3)
-
-    def test_dispersion_domain_error(self, model):
-        disp = bundled_dispersion(model)
-        with pytest.raises(DispersionRangeError):
-            disp(2000.0)
-
-    def test_response_values(self, model):
-        assert phasematching_response(0.0, 9.6) == 1.0
-        # first null at dk*L/2 = pi
-        assert phasematching_response(2 * np.pi / 9.6, 9.6) == pytest.approx(0.0, abs=1e-12)
-        # oracle: root of sinc^2 = 1/2
+class TestSinc2Shape:
+    def test_shape_values(self, model):
+        bw = model.noise_bandwidth_ghz
+        assert _sinc2_shape(0.0, bw) == 1.0
+        # oracle: root of sinc^2 = 1/2 puts the half maximum at +-bw/2
         x_half = brentq(lambda x: (np.sin(x) / x) ** 2 - 0.5, 1.0, 2.0)
-        assert phasematching_response(2 * x_half / 9.6, 9.6) == pytest.approx(0.5, rel=1e-9)
-        grid = np.linspace(-3, 3, 301)
-        r = phasematching_response(grid, 9.6)
+        alpha = 2.0 * x_half / bw
+        for dnu in (-bw / 2, bw / 2):
+            assert _sinc2_shape(dnu, bw) == pytest.approx(0.5, rel=1e-9)
+        # first null at alpha * dnu = pi
+        assert _sinc2_shape(np.pi / alpha, bw) == pytest.approx(0.0, abs=1e-12)
+        grid = np.linspace(-3 * bw, 3 * bw, 301)
+        r = _sinc2_shape(grid, bw)
         assert np.all((r >= 0) & (r <= 1))
-        assert np.count_nonzero(r == 1.0) == 1  # only at dk = 0
+        assert np.count_nonzero(r == 1.0) == 1  # only at dnu = 0
 
 
 class TestEfficiency:
