@@ -13,8 +13,7 @@ from .fock import (CouplingParams, FockBasis, FockOperator, FockState,
                    build_annihilator, build_qfc_hamiltonian,
                    build_spdc_hamiltonian, cascaded_evolution,
                    correlation_observables, evolve)
-from .montecarlo import (ChannelConfig, ScenarioConfig, TagStream,
-                         generate_streams, merge_streams, thin_stream)
+from .montecarlo import ChannelConfig, ScenarioConfig, TagStream, generate_streams
 from .tagcorr import (CoincidenceHistogram, CorrelationResult, RateMetrics,
                       auto_correlation_histogram, cauchy_schwarz_test,
                       coincidence_histogram, coincidence_histogram_sliced,

@@ -63,7 +63,7 @@ def cmd_run(args):
         manifest.config_path = args.config
     model, losses = _load_calibration(args)
 
-    summaries = run_manifest(manifest, model=model, losses=losses, plot=args.plot)
+    summaries = run_manifest(manifest, model=model, losses=losses)
     failed = 0
     for summary in summaries:
         status = "ok" if summary["passed"] else "FAILED"
@@ -154,7 +154,6 @@ def build_parser():
     p_run.add_argument("--seed", type=int, default=None, help="global seed override")
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--config", help="calibration config JSON")
-    p_run.add_argument("--plot", action="store_true", help="also write PNG plots")
     p_run.set_defaults(func=cmd_run)
 
     p_cal = sub.add_parser("calibrate", help="fit parameters to anchors")

@@ -16,7 +16,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .spectral import (ConverterModel, LossBudget, SpectralFilter, _shape_norm_ghz,
                        conversion_efficiency, noise_rate)
@@ -42,6 +41,7 @@ class CalibrationError(RuntimeError):
 
 def _calibrated_eta_nor(length_mm, uv_absorption_per_mw, target=ETA_INT_AT_200MW,
                         at_mw=200.0):
+    from scipy.optimize import brentq  # imported here: scipy is slow to import
     p_eff = at_mw * np.exp(-uv_absorption_per_mw * at_mw)
 
     def f(eta_nor):
@@ -203,6 +203,7 @@ def calibrate(anchors, free_params, model=None, losses=None):
     free parameters; duplicate conflicting anchors are split in the
     least-squares sense rather than rejected.
     """
+    from scipy.optimize import least_squares  # imported here: scipy is slow to import
     model = model if model is not None else bundled_model()
     losses = losses if losses is not None else bundled_losses()
     for name in free_params:

@@ -254,22 +254,3 @@ def generate_streams(scenario, model):
                                  "seed": scenario.seed})
     return out
 
-
-def thin_stream(stream, transmission, seed):
-    """Bernoulli loss: keep each tag independently with the given probability."""
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError("transmission must be in [0, 1]")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    keep = rng.random(len(stream.tags)) < transmission
-    return TagStream(stream.channel, stream.tags[keep], stream.duration_s,
-                     meta=dict(stream.meta, thinned=transmission))
-
-
-def merge_streams(a, b):
-    """Sorted merge of two streams on the same channel (a before b at ties)."""
-    if a.channel != b.channel:
-        raise ValueError(f"cannot merge channels {a.channel} and {b.channel}")
-    tags = np.concatenate([a.tags, b.tags])
-    order = np.argsort(tags, kind="stable")
-    return TagStream(a.channel, tags[order], max(a.duration_s, b.duration_s),
-                     meta=dict(a.meta))

@@ -20,7 +20,6 @@ tool version, the seed and the content hash of the active calibration.
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +30,8 @@ from .config import (bundled_losses, bundled_model, config_hash, config_to_dict,
                      load_config, narrowline_filter, uv_spectrometer, uv_stack)
 from .fock import CouplingParams, FockBasis, cascaded_evolution
 from .montecarlo import ChannelConfig, ScenarioConfig, generate_streams
-from .spectral import (LossBudget, SpectralFilter, conversion_efficiency,
-                       detected_signal_rate, noise_rate, noise_spectrum)
+from .spectral import (LossBudget, SpectralFilter, _converted_input_rate,
+                       conversion_efficiency, noise_rate, noise_spectrum)
 from .tagcorr import (cauchy_schwarz_test, coincidence_histogram,
                       g2_from_histogram, power_law_fit)
 
@@ -173,10 +172,11 @@ def compute_snr_sweep(model, losses, params, seed):
     stack = uv_stack(model, etalon=params.get("etalon", True))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p_mw = np.asarray(powers, dtype=float)
-    s_models = detected_signal_rate(model, p_mw, losses, stack).tolist()
-    n_models = noise_rate(p_mw, stack, model).tolist()
+    # detected_signal_rate's sum, with the stack integrated once for both
+    n_models = noise_rate(p_mw, stack, model)
+    s_models = _converted_input_rate(model, p_mw, losses, stack) + n_models
     rows = []
-    for p, s_model, n_model in zip(powers, s_models, n_models):
+    for p, s_model, n_model in zip(powers, s_models.tolist(), n_models.tolist()):
         s_sim = rng.poisson(s_model * t_acq) / t_acq
         n_sim = rng.poisson(n_model * t_acq) / t_acq
         rows.append((p, s_sim, n_sim, s_sim / n_sim, s_model / n_model))
@@ -436,11 +436,11 @@ def read_table(path):
 
 
 def run_scenario(scenario, model=None, losses=None, output_dir="out",
-                 global_seed=12345, plot=False):
+                 global_seed=12345):
     """Execute one scenario: artifacts on disk plus a summary record.
 
-    Artifacts are deterministic for a fixed manifest seed (plot images
-    exempt). On write failure, this scenario's partial outputs are removed.
+    Artifacts are deterministic for a fixed manifest seed. On write
+    failure, this scenario's partial outputs are removed.
     """
     model = model if model is not None else bundled_model()
     losses = losses if losses is not None else bundled_losses()
@@ -459,8 +459,9 @@ def run_scenario(scenario, model=None, losses=None, output_dir="out",
         for table_name, (columns, rows) in result["tables"].items():
             path = outdir / f"{scenario.name}_{table_name}.csv"
             extra = result.get("table_comments", {}).get(table_name, "")
-            _write_table(path, comment + extra, columns, rows)
+            # registered before writing, so a write that fails midway is removed
             written.append(path)
+            _write_table(path, comment + extra, columns, rows)
         summary = {
             "name": scenario.name,
             "kind": scenario.kind,
@@ -470,14 +471,12 @@ def run_scenario(scenario, model=None, losses=None, output_dir="out",
             "checks": result["checks"],
             "passed": all(c["passed"] for c in result["checks"]),
             "meta": result.get("meta", {}),
-            "artifacts": [p.name for p in written] ,
+            "artifacts": [p.name for p in written],
         }
         spath = outdir / f"{scenario.name}_summary.json"
+        written.append(spath)
         spath.write_text(json.dumps(summary, indent=2, sort_keys=True,
                                     default=float) + "\n")
-        written.append(spath)
-        if plot:
-            _plot_scenario(scenario, result, outdir)
     except Exception:
         for p in written:
             try:
@@ -488,33 +487,7 @@ def run_scenario(scenario, model=None, losses=None, output_dir="out",
     return summary
 
 
-def _plot_scenario(scenario, result, outdir):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        warnings.warn("matplotlib not installed; skipping plots", stacklevel=2)
-        return
-    for table_name, (columns, rows) in result["tables"].items():
-        if not rows or len(columns) < 2:
-            continue
-        arr = np.array([[v for v in row if isinstance(v, (int, float, np.number))]
-                        for row in rows], dtype=float)
-        if arr.shape[1] < 2:
-            continue
-        fig, ax = plt.subplots(figsize=(5, 3.4))
-        for k in range(1, arr.shape[1]):
-            ax.plot(arr[:, 0], arr[:, k], marker=".", label=columns[k])
-        ax.set_xlabel(columns[0])
-        ax.legend(fontsize=7)
-        ax.set_title(f"{scenario.name}: {table_name}", fontsize=9)
-        fig.tight_layout()
-        fig.savefig(outdir / f"{scenario.name}_{table_name}.png", dpi=120)
-        plt.close(fig)
-
-
-def run_manifest(manifest, model=None, losses=None, plot=False):
+def run_manifest(manifest, model=None, losses=None):
     """Run every scenario in a manifest; returns the list of summaries."""
     if manifest.config_path:
         model, losses = load_config(manifest.config_path)
@@ -522,5 +495,5 @@ def run_manifest(manifest, model=None, losses=None, plot=False):
     for sc in manifest.scenarios:
         summaries.append(run_scenario(sc, model=model, losses=losses,
                                       output_dir=manifest.output_dir,
-                                      global_seed=manifest.seed, plot=plot))
+                                      global_seed=manifest.seed))
     return summaries

@@ -43,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 C_NM_GHZ = 2.99792458e8          # c expressed as nm * GHz
 HC_EV_NM = 1239.8419843320025    # h*c/e in eV*nm
@@ -465,6 +464,13 @@ def band_fraction(filters, center_nm, bandwidth_ghz):
     return _stack_integrals(filters, C_NM_GHZ / center_nm, bandwidth_ghz)[0]
 
 
+def _converted_input_rate(model, pump_power_mw, losses, filters):
+    # the converted-input term of detected_signal_rate, without the noise
+    with_etalon = any(f.kind == "etalon" for f in filters)
+    eta_ext = conversion_efficiency(pump_power_mw, model, internal=False, losses=losses)
+    return model.input_flux_hz * losses.eta_loss(with_etalon) * eta_ext
+
+
 def detected_signal_rate(model, pump_power_mw, losses, filters):
     """Predicted detector rate with the nominal input flux present (Hz).
 
@@ -472,10 +478,8 @@ def detected_signal_rate(model, pump_power_mw, losses, filters):
     joins eta_loss only when an etalon is actually in the stack. P may be
     a scalar or an array of powers, as for noise_rate.
     """
-    with_etalon = any(f.kind == "etalon" for f in filters)
-    eta_ext = conversion_efficiency(pump_power_mw, model, internal=False, losses=losses)
-    s_minus_n = model.input_flux_hz * losses.eta_loss(with_etalon) * eta_ext
-    return s_minus_n + noise_rate(pump_power_mw, filters, model)
+    return _converted_input_rate(model, pump_power_mw, losses, filters) \
+        + noise_rate(pump_power_mw, filters, model)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +518,7 @@ class BinnedSpectrum:
 
 
 DEFAULT_RESOLUTION_FWHM_NM = 0.15
+_SMOOTH_LENGTHS = 30 ** 64  # n <= 2^64 divides this exactly when n = 2^a 3^b 5^c
 
 
 def _gaussian_blur(y, sigma_bins):
@@ -523,8 +528,10 @@ def _gaussian_blur(y, sigma_bins):
     x = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 / (sigma_bins * sigma_bins) * x ** 2)
     kernel /= kernel.sum()
-    n = fft.next_fast_len(y.size + 2 * radius, real=True)
-    full = fft.irfft(fft.rfft(y, n) * fft.rfft(kernel, n), n)
+    n = y.size + 2 * radius
+    while _SMOOTH_LENGTHS % n:  # the next 5-smooth length, fast for numpy's FFT
+        n += 1
+    full = np.fft.irfft(np.fft.rfft(y, n) * np.fft.rfft(kernel, n), n)
     return full[radius:radius + y.size]
 
 

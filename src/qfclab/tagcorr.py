@@ -39,9 +39,6 @@ class CoincidenceHistogram:
     def n_bins(self):
         return len(self.counts)
 
-    def bin_edges_ps(self):
-        return self.tau_min_ps + self.bin_width_ps * np.arange(self.n_bins + 1)
-
     def bin_centers_ps(self):
         return self.tau_min_ps + self.bin_width_ps * (np.arange(self.n_bins) + 0.5)
 
@@ -119,7 +116,9 @@ def coincidence_histogram_sliced(a, b, bin_width_ps, tau_range, n_slices):
         raise ValueError("n_slices must be >= 1")
     n_bins = (tau_max - tau_min) // bin_width
     total = np.zeros(n_bins, dtype=np.int64)
-    edges = np.linspace(0, a.duration_s * 1e12, n_slices + 1).astype(np.int64)
+    # integer ps edges ending where TagStream bounds its tags
+    end_ps = round(a.duration_s * 1e12)
+    edges = [end_ps * k // n_slices for k in range(n_slices + 1)]
     for k in range(n_slices):
         a_lo, a_hi = np.searchsorted(a.tags, [edges[k], edges[k + 1]])
         if a_lo == a_hi:

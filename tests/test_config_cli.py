@@ -1,17 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qfclab import cli
+import qfclab
+from qfclab import cli, scenarios, spectral
 from qfclab.config import (CalibrationError, bundled_losses, bundled_model,
                            calibrate, config_hash, config_to_dict, load_config,
-                           save_config)
-from qfclab.scenarios import (Scenario, ScenarioError, default_manifest,
-                              read_table, run_scenario)
-from qfclab.spectral import conversion_efficiency
+                           save_config, uv_stack)
+from qfclab.scenarios import (Scenario, ScenarioError, compute_snr_sweep,
+                              default_manifest, read_table, run_scenario)
+from qfclab.spectral import conversion_efficiency, detected_signal_rate, noise_rate
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,42 @@ class TestScenarios:
         with pytest.raises(ScenarioError, match="unique"):
             RunManifest([Scenario("a", "fock_demo"), Scenario("a", "fock_demo")])
 
+    def test_failed_write_leaves_no_partial_csv(self, tmp_path, monkeypatch,
+                                                model, losses):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cell cannot be formatted")
+
+        def compute(model, losses, params, seed):
+            return {"tables": {"a": (("x",), [(1.0,)]),
+                               "b": (("x",), [(1.0,), (Unprintable(),)])},
+                    "checks": []}
+
+        monkeypatch.setitem(scenarios._COMPUTE, "fock_demo", compute)
+        with pytest.raises(RuntimeError, match="cannot be formatted"):
+            run_scenario(Scenario("e", "fock_demo"), model, losses, output_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_snr_sweep_integrates_the_stack_once(self, monkeypatch, model, losses):
+        calls = []
+        integrals = spectral._stack_integrals
+
+        def counted(*args):
+            calls.append(args)
+            return integrals(*args)
+
+        monkeypatch.setattr(spectral, "_stack_integrals", counted)
+        result = compute_snr_sweep(model, losses, {}, seed=1)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the model SNR keeps the bits of detected_signal_rate / noise_rate
+        rows = result["tables"]["snr"][1]
+        p_mw = np.array([r[0] for r in rows], dtype=float)
+        stack = uv_stack(model, etalon=True)
+        expected = detected_signal_rate(model, p_mw, losses, stack) \
+            / noise_rate(p_mw, stack, model)
+        assert [r[4] for r in rows] == expected.tolist()
+
     def test_fock_demo_summary(self, tmp_path, model, losses):
         sc = Scenario("fd", "fock_demo")
         summary = run_scenario(sc, model, losses, output_dir=tmp_path, global_seed=7)
@@ -224,6 +265,32 @@ class TestCli:
         assert cli.main(["convert", str(tmp_path / "x.csv"),
                          str(tmp_path / "y.qtag")]) == 0
         assert src.read_bytes() == (tmp_path / "y.qtag").read_bytes()
+
+    def test_cold_path_imports_no_scipy(self, tmp_path):
+        from qfclab.montecarlo import TagStream
+        from qfclab.tagio import write_qtag
+        src = tmp_path / "a.qtag"
+        write_qtag(src, TagStream(2, np.array([0, 7, 7, 10 ** 9]), 2.0))
+        script = (
+            "import sys\n"
+            "import qfclab.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert scipy_modules() == [], scipy_modules()[:5]\n"
+            "src, csv, dst = sys.argv[1:]\n"
+            "assert qfclab.cli.main(['convert', src, csv]) == 0\n"
+            "assert qfclab.cli.main(['convert', csv, dst]) == 0\n"
+            "assert scipy_modules() == [], scipy_modules()[:5]\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qfclab.__file__).parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(src), str(tmp_path / "a.csv"),
+             str(tmp_path / "b.qtag")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert src.read_bytes() == (tmp_path / "b.qtag").read_bytes()
 
     def test_convert_bad_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("")

@@ -4,7 +4,7 @@ import pytest
 from qfclab.config import bundled_losses, bundled_model
 from qfclab.montecarlo import (ChannelConfig, ConfigurationError, ScenarioConfig,
                                TagStream, branch_rates, expected_rates,
-                               generate_streams, merge_streams, thin_stream)
+                               generate_streams)
 from qfclab.spectral import LossBudget, conversion_efficiency
 
 
@@ -168,50 +168,3 @@ class TestGeneration:
             pieces.append(tags[(tags >= lo) & (tags < hi)])
         assert np.array_equal(full, np.concatenate(pieces))
 
-
-class TestThin:
-    def test_identity_and_empty(self, model):
-        s = TagStream(0, np.arange(100, dtype=np.int64), 1.0)
-        assert np.array_equal(thin_stream(s, 1.0, 0).tags, s.tags)
-        assert len(thin_stream(s, 0.0, 0)) == 0
-
-    def test_binomial_oracle(self):
-        n = 1_000_000
-        s = TagStream(0, np.arange(n, dtype=np.int64), 10.0)
-        kept = len(thin_stream(s, 0.5, seed=123))
-        assert abs(kept - n // 2) <= 5 * np.sqrt(n * 0.25)  # 5 sigma = 3536
-
-    def test_order_preserved(self):
-        rng = np.random.default_rng(0)
-        s = TagStream(0, np.sort(rng.integers(0, 10 ** 9, 10_000)), 1.0)
-        out = thin_stream(s, 0.3, seed=4)
-        assert np.all(np.diff(out.tags) >= 0)
-        assert set(out.tags.tolist()) <= set(s.tags.tolist())
-
-    def test_bad_transmission(self):
-        s = TagStream(0, np.arange(5, dtype=np.int64), 1.0)
-        with pytest.raises(ValueError):
-            thin_stream(s, 1.5, 0)
-
-
-class TestMerge:
-    def test_identity_with_empty(self):
-        a = TagStream(2, np.array([1, 5, 9]), 1.0)
-        empty = TagStream(2, np.array([], dtype=np.int64), 1.0)
-        assert np.array_equal(merge_streams(a, empty).tags, a.tags)
-
-    def test_length_and_sortedness(self):
-        # oracle: full sort of the concatenation
-        rng = np.random.default_rng(8)
-        a = TagStream(1, np.sort(rng.integers(0, 10 ** 6, 500)), 1.0)
-        b = TagStream(1, np.sort(rng.integers(0, 10 ** 6, 700)), 1.0)
-        merged = merge_streams(a, b)
-        assert len(merged) == 1200
-        assert np.array_equal(merged.tags,
-                              np.sort(np.concatenate([a.tags, b.tags])))
-
-    def test_channel_mismatch(self):
-        a = TagStream(0, np.array([1]), 1.0)
-        b = TagStream(1, np.array([2]), 1.0)
-        with pytest.raises(ValueError):
-            merge_streams(a, b)

@@ -88,14 +88,19 @@ class TestHistogram:
             coincidence_histogram(good, good, 100, (-150, 100))  # not tiling
 
     def test_sliced_equals_single_pass(self):
-        rng = np.random.default_rng(21)
-        a = poisson_stream(50_000, 2.0, 1)
-        b = poisson_stream(50_000, 2.0, 2)
-        full = coincidence_histogram(a, b, 100, (-10_000, 10_000))
-        for n_slices in (2, 5, 16):
-            sliced = coincidence_histogram_sliced(a, b, 100, (-10_000, 10_000),
-                                                  n_slices)
-            assert np.array_equal(full.counts, sliced.counts)
+        # 131067e-12 s * 1e12 is just below 131,067, so truncating it instead
+        # of rounding as TagStream does would lose the tag at 131,066 ps
+        last = stream([131_066], 131_067e-12)
+        cases = [(poisson_stream(50_000, 2.0, 1), poisson_stream(50_000, 2.0, 2),
+                  (2, 5, 16)),
+                 (last, last, (1, 2))]
+        for a, b, slice_counts in cases:
+            full = coincidence_histogram(a, b, 100, (-10_000, 10_000))
+            assert full.counts.sum() > 0
+            for n_slices in slice_counts:
+                sliced = coincidence_histogram_sliced(a, b, 100, (-10_000, 10_000),
+                                                      n_slices)
+                assert np.array_equal(full.counts, sliced.counts)
 
 
 class TestAutoCorrelation:
