@@ -9,10 +9,8 @@ from .spectral import (ConverterModel, LossBudget, SpectralFilter,
                        detected_signal_rate, energy_gap, filter_transmission,
                        noise_rate, noise_spectrum, sfg_output_wavelength,
                        spdc_signal_wavelength)
-from .fock import (CouplingParams, FockBasis, FockOperator, FockState,
-                   build_annihilator, build_qfc_hamiltonian,
-                   build_spdc_hamiltonian, cascaded_evolution,
-                   correlation_observables, evolve)
+from .fock import (CouplingParams, FockBasis, FockState, cascaded_evolution,
+                   correlation_observables)
 from .montecarlo import ChannelConfig, ScenarioConfig, TagStream, generate_streams
 from .tagcorr import (CoincidenceHistogram, CorrelationResult, RateMetrics,
                       auto_correlation_histogram, cauchy_schwarz_test,

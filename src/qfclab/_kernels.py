@@ -10,6 +10,12 @@ the acceptance battery and the property tests.
 import numpy as np
 
 
+def is_sorted(tags):
+    """True when the timestamps never decrease (one slice comparison, no
+    np.diff temporary)."""
+    return not np.any(tags[1:] < tags[:-1])
+
+
 def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     """Windowed pair histogram via searchsorted + ragged gather.
 

@@ -15,8 +15,10 @@ import numpy as np
 from . import _kernels
 from .config import (bundled_losses, bundled_model, narrowline_filter, uv_stack)
 from .fock import (CouplingParams, FockBasis, build_qfc_hamiltonian,
-                   build_spdc_hamiltonian, cascaded_evolution, evolution_operator,
-                   evolve, number_state, observables_with_truncation_check)
+                   build_spdc_hamiltonian, cascaded_evolution,
+                   closed_form_observables, correlation_observables,
+                   evolution_operator, evolve, number_state,
+                   observables_with_truncation_check)
 from .montecarlo import TagStream
 from .scenarios import (compute_coincidence_si, compute_coincidence_so,
                         compute_efficiency_sweep, compute_noise_spectrum,
@@ -96,12 +98,19 @@ def check_fock_engine(model, losses, printer=None):
         CouplingParams(kappa=1.0, gamma=1.0, pump_amplitude=0.02,
                        interaction_time=1.0), n_max=3).truncation_delta
 
+    # high gain against the untruncated two-mode squeezed vacuum + beamsplitter
+    p = CouplingParams(kappa=1.0, gamma=1.0, pump_amplitude=1.0, interaction_time=1.0)
+    rec = correlation_observables(cascaded_evolution(FockBasis(n_max=40), p)).as_record()
+    closed = closed_form_observables(p)
+    dev = max(abs(rec[k] - v) / max(1.0, abs(v)) for k, v in closed.items())
+
     ok = (worst_unitary < 1e-10 and worst_bs < 1e-8 and worst_prop <= 0.05
-          and delta < 1e-6)
+          and delta < 1e-6 and dev < 1e-6)
     return _result("fock-engine-exactness", ok,
                    f"unitarity {worst_unitary:.1e} (<1e-10), beamsplitter-law "
                    f"error {worst_bs:.1e} (<1e-8), low-gain amplitude error "
-                   f"{worst_prop:.2%} (<=5%), truncation shift {delta:.1e} (<1e-6)",
+                   f"{worst_prop:.2%} (<=5%), truncation shift {delta:.1e} (<1e-6), "
+                   f"closed-form deviation at A=1, n_max=40 {dev:.1e} (<1e-6)",
                    printer)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import dead_time_mask
+from ._kernels import dead_time_mask, is_sorted
 from .spectral import band_fraction, conversion_efficiency
 
 CHANNELS = ("signal", "idler", "output")
@@ -54,7 +54,7 @@ class TagStream:
         if len(tags):
             if tags[0] < 0:
                 raise ValueError("timestamps must be nonnegative")
-            if np.any(np.diff(tags) < 0):
+            if not is_sorted(tags):
                 raise ValueError("timestamps must be sorted")
             if tags[-1] >= round(self.duration_s * _PS):
                 raise ValueError("timestamps must be below the acquisition duration")

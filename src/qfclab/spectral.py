@@ -568,7 +568,8 @@ def noise_spectrum(pump_power_mw, filters, model, grid_edges_nm, floor_per_bin_h
     cum_at = np.interp(nu_edges, nu, cum)
     # per-bin integral; wavelength bin k spans nu_edges[k+1] .. nu_edges[k]
     rates = cum_at[:-1] - cum_at[1:]
-    rates = np.abs(rates) + floor_per_bin_hz
+    # bins below 1e-12 of the peak hold FFT round-off, not model rate
+    rates = np.where(rates < 1e-12 * rates.max(), 0.0, rates) + floor_per_bin_hz
     return BinnedSpectrum(edges, rates, pump_power_mw,
                           res_fwhm_ghz * model.lambda_output_nm ** 2 / C_NM_GHZ,
                           floor_per_bin_hz)

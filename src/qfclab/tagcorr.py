@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pair_histogram
+from ._kernels import is_sorted, pair_histogram
 from .fock import UndefinedCorrelationError
 
 
@@ -81,7 +81,7 @@ def _validate_window(bin_width_ps, tau_range, min_bins=3):
 
 
 def _check_sorted(tags):
-    if len(tags) > 1 and np.any(np.diff(tags) < 0):
+    if not is_sorted(tags):
         raise ValueError("tag stream is not sorted")
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qfclab import fock
 from qfclab.fock import (ConvergenceError, CouplingParams, FockBasis,
@@ -9,9 +11,9 @@ from qfclab.fock import (ConvergenceError, CouplingParams, FockBasis,
                          UnknownModeError, build_annihilator,
                          build_number_operator, build_qfc_hamiltonian,
                          build_spdc_hamiltonian, cascaded_evolution,
-                         correlation_observables, evolution_operator, evolve,
-                         number_state, observables_with_truncation_check,
-                         vacuum)
+                         closed_form_observables, correlation_observables,
+                         evolution_operator, evolve, number_state,
+                         observables_with_truncation_check, vacuum)
 
 
 def params(kappa=1.0, gamma=1.0, amp=0.05, t=1.0):
@@ -264,6 +266,69 @@ class TestCascade:
         assert seen == [4, 5]
         assert obs.truncation_delta == expected
         assert obs.as_record() == recs[0] | {"truncation_limited": expected > 1e-6}
+
+
+def dense_cascade(basis, p):
+    """The cascade as two dense evolutions of the full basis."""
+    t = p.interaction_time
+    state = evolve(vacuum(basis), build_spdc_hamiltonian(basis, p), t)
+    return evolve(state, build_qfc_hamiltonian(basis, p), t)
+
+
+class TestSectorCascade:
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.floats(0, 2), gamma=st.floats(0, 2), amp=st.floats(0, 1.5),
+           t=st.floats(0, 2), n_max=st.integers(1, 8))
+    def test_matches_dense_oracle(self, kappa, gamma, amp, t, n_max):
+        basis = FockBasis(n_max=n_max)
+        p = params(kappa=kappa, gamma=gamma, amp=amp, t=t)
+        try:
+            want = dense_cascade(basis, p).amplitudes
+        except ConvergenceError:
+            reject()    # the dense path refuses large dim * |H| * t
+        got = cascaded_evolution(basis, p).amplitudes
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_max", (1, 3, 8))
+    def test_no_conversion_and_time_zero(self, n_max):
+        basis = FockBasis(n_max=n_max)
+        state = cascaded_evolution(basis, params(kappa=0.0, amp=0.7))
+        assert state.amplitude(1, 0, 1) == 0.0
+        assert np.abs(state.amplitudes - dense_cascade(basis, params(kappa=0.0, amp=0.7))
+                      .amplitudes).max() <= 1e-12
+        assert np.array_equal(cascaded_evolution(basis, params(amp=0.7, t=0.0)).amplitudes,
+                              vacuum(basis).amplitudes)
+
+    def test_closed_form_at_high_n_max(self):
+        # oracle: two-mode squeezed vacuum (r = gamma*A*t) then a beamsplitter
+        # (theta = kappa*A*t); at n_max = 50 the truncated tail is ~tanh(1)^100
+        p = params(amp=1.0)
+        obs = observables_with_truncation_check(p, n_max=50)
+        rec = obs.as_record()
+        closed = closed_form_observables(p)
+        n = math.sinh(1.0) ** 2
+        assert closed == {"n_signal": n, "n_idler": n * math.cos(1.0) ** 2,
+                          "n_output": n * math.sin(1.0) ** 2,
+                          "g2_signal_idler": 2 + 1 / n, "g2_signal_output": 2 + 1 / n,
+                          "g2_signal_signal": 2.0, "g2_idler_idler": 2.0,
+                          "g2_output_output": 2.0}
+        for key, value in closed.items():
+            assert rec[key] == pytest.approx(value, rel=1e-9, abs=0), key
+        # truncation_delta is a one-step difference, not a bound on the true
+        # error; it tracks the true error within a factor of 10 either way
+        err = max(abs(rec[k] - v) / max(1.0, abs(v)) for k, v in closed.items())
+        assert err / 10 <= obs.truncation_delta <= 10 * err
+        assert obs.truncation_limited is False
+
+    def test_never_builds_a_dense_operator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built")
+        monkeypatch.setattr(fock, "evolve", refuse)
+        monkeypatch.setattr(fock, "_ladder_matrix", refuse)
+        state = cascaded_evolution(FockBasis(n_max=60), params(amp=1.0))
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+        obs = correlation_observables(state)
+        assert obs.mean_photons["signal"] == pytest.approx(math.sinh(1.0) ** 2, rel=1e-9)
 
 
 class TestCorrelations:

@@ -270,6 +270,20 @@ class TestSpectrum:
         bare = noise_spectrum(200.0, (), model, edges)
         assert abs(bare.peak_wavelength_nm() - lam0) <= 0.2
 
+    def test_roundoff_bins_read_zero(self, model):
+        # the noise_spectrum scenario's fine grid: outside the bandpass the
+        # model rate is ~0, and 7 bins at 372.84-373.44 nm held 7e-13 to
+        # 2.4e-12 Hz of FFT round-off
+        lam0 = model.lambda_output_nm
+        edges = np.arange(lam0 - 4.0, lam0 + 4.05, 0.1)
+        spec = noise_spectrum(200.0, uv_stack(model) + (uv_spectrometer(model),),
+                              model, edges)
+        centers = spec.centers_nm
+        band = (centers > 372.8) & (centers < 373.5)
+        assert band.sum() == 7
+        assert np.all(spec.rates_hz[band] == 0.0)
+        assert np.all(spec.rates_hz >= 0.0)
+
     def test_integral_matches_rate_model(self, model):
         # quadrature-consistency oracle: binned spectrum integral equals the
         # rate model minus dark counts (stray bypasses the spectrometer and

@@ -102,6 +102,20 @@ class TestHistogram:
                                                       n_slices)
                 assert np.array_equal(full.counts, sliced.counts)
 
+    def test_unsorted_stream_rejected(self):
+        with pytest.raises(ValueError, match="timestamps must be sorted"):
+            stream([0, 300, 200])
+        ok = stream([0, 200, 300])
+        bad = stream([0, 200, 300])
+        bad.tags[1:] = [300, 200]   # a stream that was sorted when it was built
+        for call in (lambda: coincidence_histogram(bad, ok, 100, (-500, 500)),
+                     lambda: coincidence_histogram(ok, bad, 100, (-500, 500)),
+                     lambda: coincidence_histogram_sliced(bad, ok, 100, (-500, 500), 2),
+                     lambda: coincidence_histogram_sliced(ok, bad, 100, (-500, 500), 2),
+                     lambda: auto_correlation_histogram(bad, 100, (0, 500))):
+            with pytest.raises(ValueError, match="tag stream is not sorted"):
+                call()
+
 
 class TestAutoCorrelation:
     def test_two_tags(self):
