@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import (bundled_losses, bundled_model, narrowline_filter, uv_stack)
+from .config import bundled_losses, bundled_model
 from .fock import (CouplingParams, FockBasis, build_qfc_hamiltonian,
                    build_spdc_hamiltonian, cascaded_evolution,
                    closed_form_observables, correlation_observables,
@@ -23,8 +23,7 @@ from .montecarlo import TagStream
 from .scenarios import (compute_coincidence_si, compute_coincidence_so,
                         compute_efficiency_sweep, compute_noise_spectrum,
                         compute_noise_sweep, compute_snr_sweep, derive_seed)
-from .spectral import (energy_gap, noise_rate, sfg_output_wavelength,
-                       spdc_signal_wavelength)
+from .spectral import energy_gap, sfg_output_wavelength, spdc_signal_wavelength
 from .tagcorr import coincidence_histogram, coincidence_histogram_sliced
 
 
@@ -43,6 +42,17 @@ def _result(name, passed, detail, printer=None):
     if printer:
         printer(res.line())
     return res
+
+
+def _scenario_gate(name, model, losses, printer, runs, only=None):
+    """Gate on the checks of scenario computations: `runs` lists
+    (compute_*, seed) pairs, and `only` the check-name prefixes that count
+    (all checks when None). The detail joins the scenario's own wording."""
+    checks = [c for compute, seed in runs
+              for c in compute(model, losses, {}, seed)["checks"]
+              if only is None or c["name"].startswith(only)]
+    return _result(name, all(c["passed"] for c in checks),
+                   "; ".join(c["detail"] for c in checks), printer)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +78,7 @@ def check_fock_engine(model, losses, printer=None):
                                 interaction_time=rng.uniform(0, 2))
         for build in (build_qfc_hamiltonian, build_spdc_hamiltonian):
             u = evolution_operator(build(basis, params), params.interaction_time)
-            dev = np.abs(u.matrix.conj().T @ u.matrix - np.eye(basis.dim)).max()
+            dev = np.abs(u.conj().T @ u - np.eye(basis.dim)).max()
             worst_unitary = max(worst_unitary, dev)
 
     basis = FockBasis(n_max=3)
@@ -115,35 +125,25 @@ def check_fock_engine(model, losses, printer=None):
 
 
 def check_efficiency_calibration(model, losses, printer=None):
-    res = compute_efficiency_sweep(model, losses, {}, 0)
-    ok = all(c["passed"] for c in res["checks"])
-    return _result("efficiency-calibration", ok,
-                   "; ".join(c["detail"] for c in res["checks"]), printer)
+    return _scenario_gate("efficiency-calibration", model, losses, printer,
+                          [(compute_efficiency_sweep, 0)])
 
 
 def check_noise_scaling(model, losses, printer=None):
-    res = compute_noise_sweep(model, losses, {}, derive_seed(12345, "noise_sweep"))
-    wanted = [c for c in res["checks"] if c["name"].startswith("noise_exponent")]
-    ok = all(c["passed"] for c in wanted)
-    return _result("noise-scaling-exponents", ok,
-                   "; ".join(c["detail"] for c in wanted), printer)
+    return _scenario_gate("noise-scaling-exponents", model, losses, printer,
+                          [(compute_noise_sweep, derive_seed(12345, "noise_sweep"))],
+                          only="noise_exponent")
 
 
 def check_noise_floor_anchors(model, losses, printer=None):
-    n0 = noise_rate(0.0, uv_stack(model), model)
-    line = noise_rate(200.0, (uv_stack(model)[0], narrowline_filter(model)),
-                      model, include_detector=False)
-    ok = n0 == model.dark_count_rate_hz and abs(line - 1.3) <= 0.3
-    return _result("noise-floor-anchors", ok,
-                   f"noise(P=0) = {n0:g} Hz (dark exactly); 20 MHz-line noise "
-                   f"at 200 mW = {line:.3f} Hz (1.3 +- 0.3)", printer)
+    return _scenario_gate("noise-floor-anchors", model, losses, printer,
+                          [(compute_noise_sweep, derive_seed(12345, "noise_sweep"))],
+                          only=("dark_floor", "narrowline_noise"))
 
 
 def check_snr_sweep(model, losses, printer=None):
-    res = compute_snr_sweep(model, losses, {}, derive_seed(12345, "snr_sweep"))
-    ok = all(c["passed"] for c in res["checks"])
-    return _result("snr-etalon-sweep", ok,
-                   "; ".join(c["detail"] for c in res["checks"]), printer)
+    return _scenario_gate("snr-etalon-sweep", model, losses, printer,
+                          [(compute_snr_sweep, derive_seed(12345, "snr_sweep"))])
 
 
 # -- correlator correctness --------------------------------------------------
@@ -282,19 +282,14 @@ def check_dead_time_oracle(model, losses, printer=None):
 
 
 def check_nonclassical_correlations(model, losses, printer=None):
-    si = compute_coincidence_si(model, losses, {}, derive_seed(12345, "coincidence_si"))
-    so = compute_coincidence_so(model, losses, {}, derive_seed(12345, "coincidence_so"))
-    checks = si["checks"] + so["checks"]
-    ok = all(c["passed"] for c in checks)
-    return _result("nonclassical-correlations", ok,
-                   "; ".join(c["detail"] for c in checks), printer)
+    return _scenario_gate("nonclassical-correlations", model, losses, printer,
+                          [(compute_coincidence_si, derive_seed(12345, "coincidence_si")),
+                           (compute_coincidence_so, derive_seed(12345, "coincidence_so"))])
 
 
 def check_noise_spectrum_shape(model, losses, printer=None):
-    res = compute_noise_spectrum(model, losses, {}, 0)
-    ok = all(c["passed"] for c in res["checks"])
-    return _result("noise-spectrum-shape", ok,
-                   "; ".join(c["detail"] for c in res["checks"]), printer)
+    return _scenario_gate("noise-spectrum-shape", model, losses, printer,
+                          [(compute_noise_spectrum, 0)])
 
 
 def check_throughput(model, losses, printer=None):

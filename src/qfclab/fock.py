@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MODES = ("signal", "idler", "output")
+_AXIS = {mode: k for k, mode in enumerate(MODES)}
 
 
 class UnknownModeError(ValueError):
@@ -45,6 +46,13 @@ class UndefinedCorrelationError(ValueError):
     """A requested correlation has a mean photon number too small to divide by."""
 
 
+def _axis(mode):
+    try:
+        return _AXIS[mode]
+    except KeyError:
+        raise UnknownModeError(f"unknown mode {mode!r}, expected one of {MODES}") from None
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Number basis |n_s, n_i, n_o> with 0 <= n <= n_max per mode.
@@ -55,7 +63,6 @@ class FockBasis:
     """
 
     n_max: int = 3
-    modes: tuple = MODES
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -77,12 +84,6 @@ class FockBasis:
         d = self.n_max + 1
         idx = np.arange(self.dim)
         return np.stack([idx // (d * d), (idx // d) % d, idx % d], axis=1)
-
-    def mode_axis(self, mode):
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise UnknownModeError(f"unknown mode {mode!r}, expected one of {self.modes}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ class FockState:
     def population(self, n_s, n_i, n_o):
         return abs(self.amplitude(n_s, n_i, n_o)) ** 2
 
-    def expectation(self, operator):
-        return np.vdot(self.amplitudes, operator.matrix @ self.amplitudes)
+    def expectation(self, matrix):
+        return np.vdot(self.amplitudes, matrix @ self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -133,16 +134,6 @@ class CouplingParams:
             raise ValueError("kappa, gamma and interaction_time must be >= 0")
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    basis: FockBasis
-    matrix: np.ndarray
-
-    def is_hermitian(self, tol=1e-12):
-        scale = max(1.0, np.abs(self.matrix).max())
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
-
-
 def vacuum(basis):
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index(0, 0, 0)] = 1.0
@@ -155,41 +146,28 @@ def number_state(basis, n_s, n_i, n_o):
     return FockState(basis, amps)
 
 
-def _ladder_matrix(basis, lowered, raised=()):
-    """Matrix of the raising operators of `raised` times the lowering
-    operators of `lowered` (all modes distinct). Each column holds at most
-    one nonzero, the product of the sqrt(n) ladder factors, so the matrix is
-    written directly instead of multiplied out densely."""
-    occ = basis.occupations()
+def _kron3(signal, idler, output):
+    """Operator on the three-mode basis from one factor per mode."""
+    return np.kron(np.kron(signal, idler), output).astype(np.complex128)
+
+
+def _ladder(basis):
+    """Single-mode annihilator, <n-1|a|n> = sqrt(n), and the identity."""
     d = basis.n_max + 1
-    strides = np.array([d * d, d, 1])
-    amp = np.ones(basis.dim)
-    dst = np.arange(basis.dim)
-    keep = np.ones(basis.dim, dtype=bool)
-    for mode in lowered:
-        axis = basis.mode_axis(mode)
-        amp = amp * np.sqrt(occ[:, axis])
-        dst = dst - strides[axis]
-        keep &= occ[:, axis] > 0
-    for mode in raised:
-        axis = basis.mode_axis(mode)
-        amp = amp * np.sqrt(occ[:, axis] + 1)
-        dst = dst + strides[axis]
-        keep &= occ[:, axis] < basis.n_max
-    mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    src = np.nonzero(keep)[0]
-    mat[dst[src], src] = amp[src]
-    return mat
+    return np.diag(np.sqrt(np.arange(1, d)), 1), np.eye(d)
 
 
 def build_annihilator(basis, mode):
     """Ladder-down operator for one mode: <..n-1..|a|..n..> = sqrt(n)."""
-    return FockOperator(basis, _ladder_matrix(basis, (mode,)))
+    a, eye = _ladder(basis)
+    factors = [eye, eye, eye]
+    factors[_axis(mode)] = a
+    return _kron3(*factors)
 
 
 def build_number_operator(basis, mode):
-    a = build_annihilator(basis, mode).matrix
-    return FockOperator(basis, a.conj().T @ a)
+    a = build_annihilator(basis, mode)
+    return a.conj().T @ a
 
 
 def build_qfc_hamiltonian(basis, params):
@@ -198,9 +176,9 @@ def build_qfc_hamiltonian(basis, params):
     Commutes with n_i + n_o. Sign fixed so that
     <1,0,1| H |1,1,0> = -i*kappa*A.
     """
-    m = 1j * params.kappa * params.pump_amplitude \
-        * _ladder_matrix(basis, ("output",), raised=("idler",))
-    return FockOperator(basis, m + m.conj().T)
+    a, eye = _ladder(basis)
+    m = 1j * params.kappa * params.pump_amplitude * _kron3(eye, a.T, a)
+    return m + m.conj().T
 
 
 def build_spdc_hamiltonian(basis, params):
@@ -209,9 +187,9 @@ def build_spdc_hamiltonian(basis, params):
     Commutes with n_s - n_i. Sign fixed so that
     <1,1,0| H |0,0,0> = -i*gamma*A.
     """
-    m = 1j * params.gamma * params.pump_amplitude \
-        * _ladder_matrix(basis, ("signal", "idler"))
-    return FockOperator(basis, m + m.conj().T)
+    a, eye = _ladder(basis)
+    m = 1j * params.gamma * params.pump_amplitude * _kron3(a, a, eye)
+    return m + m.conj().T
 
 
 def evolve(state, hamiltonian, time, tolerance=1e-10):
@@ -225,18 +203,17 @@ def evolve(state, hamiltonian, time, tolerance=1e-10):
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    h = hamiltonian.matrix
-    if not hamiltonian.is_hermitian():
+    h_max = np.abs(hamiltonian).max()
+    if np.abs(hamiltonian - hamiltonian.conj().T).max() > 1e-12 * max(1.0, h_max):
         raise NonHermitianError("evolution requires a Hermitian generator")
-    dim = h.shape[0]
-    scale = max(1.0, np.abs(h).max() * abs(time))
-    err_est = 50 * dim * np.finfo(np.float64).eps * scale
+    scale = max(1.0, h_max * abs(time))
+    err_est = 50 * len(hamiltonian) * np.finfo(np.float64).eps * scale
     if tolerance < err_est:
         raise ConvergenceError(
             f"tolerance {tolerance:g} below achievable {err_est:g} for this problem size")
     if time == 0:
         return state
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(hamiltonian)
     phases = np.exp(1j * time * w)
     out = v @ (phases * (v.conj().T @ state.amplitudes))
     return FockState(state.basis, _renormalized(out))
@@ -254,9 +231,8 @@ def _renormalized(amps):
 
 def evolution_operator(hamiltonian, time):
     """Dense U = exp(+i*time*H) for inspection/tests (unitarity checks)."""
-    w, v = np.linalg.eigh(hamiltonian.matrix)
-    return FockOperator(hamiltonian.basis,
-                        (v * np.exp(1j * time * w)) @ v.conj().T)
+    w, v = np.linalg.eigh(hamiltonian)
+    return (v * np.exp(1j * time * w)) @ v.conj().T
 
 
 def _evolve_first_unit_vector(off_diagonal, time):
@@ -333,33 +309,31 @@ def correlation_observables(state, pairs=(("signal", "idler"), ("signal", "outpu
     Raises UndefinedCorrelationError when any required mean photon number is
     below 1e-15 (e.g. vacuum input) instead of returning a number.
     """
-    basis = state.basis
-    occ = basis.occupations()
-    p = np.abs(state.amplitudes) ** 2
-    means = {m: float(p @ occ[:, k]) for k, m in enumerate(basis.modes)}
+    d = state.basis.n_max + 1
+    p = (np.abs(state.amplitudes) ** 2).reshape(d, d, d)
+    n = np.arange(d)
+    marginals = {m: p.sum(axis=tuple({0, 1, 2} - {k})) for m, k in _AXIS.items()}
+    means = {m: float(marginals[m] @ n) for m in MODES}
 
     needed = sorted({m for ab in pairs for m in ab})
     for m in needed:
-        if m not in means:
-            raise UnknownModeError(f"unknown mode {m!r}")
+        _axis(m)    # raises UnknownModeError
         if means[m] < _MIN_MEAN:
             raise UndefinedCorrelationError(
                 f"mean photon number in mode {m!r} is {means[m]:.3g}; correlation undefined")
 
     cross = {}
     for a, b in pairs:
-        ka, kb = basis.mode_axis(a), basis.mode_axis(b)
-        nanb = float(p @ (occ[:, ka] * occ[:, kb]))
+        if a == b:
+            nanb = float(marginals[a] @ n ** 2)
+        else:
+            nanb = float(n @ p.sum(axis=3 - _AXIS[a] - _AXIS[b]) @ n)
         cross[(a, b)] = nanb / (means[a] * means[b])
 
-    auto = {}
-    for m in needed:
-        k = basis.mode_axis(m)
-        n2 = float(p @ (occ[:, k] * (occ[:, k] - 1)))
-        auto[m] = n2 / means[m] ** 2
+    auto = {m: float(marginals[m] @ (n * (n - 1))) / means[m] ** 2 for m in needed}
 
     return QuantumCorrelations(mean_photons=means, g2_cross=cross, g2_auto=auto,
-                               n_max=basis.n_max)
+                               n_max=state.basis.n_max)
 
 
 def _float_observables(obs):
@@ -367,14 +341,17 @@ def _float_observables(obs):
     return np.array([rec[k] for k in sorted(rec) if isinstance(rec[k], float)])
 
 
-def observables_with_truncation_check(params, n_max=3, limit=1e-6):
+_TRUNCATION_LIMIT = 1e-6
+
+
+def observables_with_truncation_check(params, n_max=3):
     """Cascaded-state observables plus a truncation-stability flag.
 
     truncation_delta is the max scaled change of the reported observables
     when n_max grows by one: absolute for order-unity quantities and
     relative for larger ones (low-gain cross-correlations are O(1/<n>) and
     would otherwise dominate with pure float noise). The flag is set when
-    it exceeds `limit`; results should then be treated as truncation-limited
+    it exceeds 1e-6; results should then be treated as truncation-limited
     and recomputed at higher n_max.
     """
     obs = correlation_observables(cascaded_evolution(FockBasis(n_max=n_max), params))
@@ -382,7 +359,7 @@ def observables_with_truncation_check(params, n_max=3, limit=1e-6):
     vals, grown_vals = _float_observables(obs), _float_observables(grown)
     scale = np.maximum(1.0, np.maximum(np.abs(vals), np.abs(grown_vals)))
     obs.truncation_delta = float((np.abs(vals - grown_vals) / scale).max())
-    obs.truncation_limited = bool(obs.truncation_delta > limit)
+    obs.truncation_limited = bool(obs.truncation_delta > _TRUNCATION_LIMIT)
     return obs
 
 

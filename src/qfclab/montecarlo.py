@@ -18,12 +18,12 @@ produced in any order (or concurrently) with bitwise-identical results;
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._kernels import dead_time_mask, is_sorted
-from .spectral import band_fraction, conversion_efficiency
+from .spectral import _converted_input_rate, band_fraction, conversion_efficiency
 
 CHANNELS = ("signal", "idler", "output")
 CHANNEL_IDS = {"signal": 0, "idler": 1, "output": 2}
@@ -56,11 +56,16 @@ class TagStream:
                 raise ValueError("timestamps must be nonnegative")
             if not is_sorted(tags):
                 raise ValueError("timestamps must be sorted")
-            if tags[-1] >= round(self.duration_s * _PS):
+            if tags[-1] >= self.duration_ps:
                 raise ValueError("timestamps must be below the acquisition duration")
 
     def __len__(self):
         return len(self.tags)
+
+    @property
+    def duration_ps(self):
+        """The duration in integer ps; every tag lies below it."""
+        return round(self.duration_s * _PS)
 
     @property
     def rate_hz(self):
@@ -152,9 +157,9 @@ def branch_rates(scenario, model):
         if cfg is not None:
             rates[f"bg_{name}"] = cfg.dark_hz + cfg.luminescence_hz_per_mw * p
     if scenario.input_flux_hz > 0 and cfg_o is not None:
-        with_etalon = any(f.kind == "etalon" for f in cfg_o.filters)
-        eta_ext = conversion_efficiency(p, model, internal=False, losses=cfg_o.losses)
-        rates["input_o"] = scenario.input_flux_hz * cfg_o.losses.eta_loss(with_etalon) * eta_ext
+        rates["input_o"] = _converted_input_rate(
+            replace(model, input_flux_hz=scenario.input_flux_hz), p, cfg_o.losses,
+            cfg_o.filters)
     return rates
 
 
@@ -238,7 +243,7 @@ def generate_streams(scenario, model):
                 raw = raw + rng.normal(0.0, jit_fwhm / 2.3548200450309493, len(raw))
             per_channel[c].append(raw)
 
-    duration_ps = int(scenario.duration_s * _PS)
+    duration_ps = round(scenario.duration_s * _PS)
     out = {}
     for c, cfg in scenario.channels.items():
         if per_channel[c]:

@@ -117,8 +117,7 @@ def coincidence_histogram_sliced(a, b, bin_width_ps, tau_range, n_slices):
     n_bins = (tau_max - tau_min) // bin_width
     total = np.zeros(n_bins, dtype=np.int64)
     # integer ps edges ending where TagStream bounds its tags
-    end_ps = round(a.duration_s * 1e12)
-    edges = [end_ps * k // n_slices for k in range(n_slices + 1)]
+    edges = [a.duration_ps * k // n_slices for k in range(n_slices + 1)]
     for k in range(n_slices):
         a_lo, a_hi = np.searchsorted(a.tags, [edges[k], edges[k + 1]])
         if a_lo == a_hi:

@@ -22,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .montecarlo import TagStream
+from .montecarlo import _PS, TagStream
 
 MAGIC = b"QTAG"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHQQ")
-_PS = 1_000_000_000_000
 # rows formatted per write: keeps the transient text of a long stream small
 _CSV_ROWS_PER_WRITE = 1 << 16
 
@@ -37,9 +36,8 @@ class TagFormatError(ValueError):
 
 
 def write_qtag(path, stream):
-    duration_ps = int(round(stream.duration_s * _PS))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, stream.channel, duration_ps,
+        fh.write(_HEADER.pack(MAGIC, VERSION, stream.channel, stream.duration_ps,
                               len(stream.tags)))
         fh.write(stream.tags.astype("<u8").tobytes())
     return Path(path)
@@ -70,7 +68,7 @@ def write_csv(path, streams):
     """
     if isinstance(streams, TagStream):
         streams = [streams]
-    duration_ps = max(int(round(s.duration_s * _PS)) for s in streams)
+    duration_ps = max(s.duration_ps for s in streams)
     channels = ",".join(str(s.channel) for s in streams)
     with open(path, "w", newline="") as fh:
         fh.write(f"# qtag-csv v{VERSION} duration_ps={duration_ps} channels={channels}\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,12 +45,15 @@ class TestBasis:
             FockBasis(n_max=2).index(3, 0, 0)
         with pytest.raises(UnknownModeError):
             build_annihilator(FockBasis(n_max=2), "pump")
+        with pytest.raises(UnknownModeError):
+            correlation_observables(cascaded_evolution(FockBasis(n_max=2), params()),
+                                    pairs=(("signal", "pump"),))
 
 
 class TestLadderOperators:
     def test_single_transition_nmax1(self):
         basis = FockBasis(n_max=1)
-        a = build_annihilator(basis, "idler").matrix
+        a = build_annihilator(basis, "idler")
         src = basis.index(0, 1, 0)
         dst = basis.index(0, 0, 0)
         assert a[dst, src] == 1.0
@@ -58,7 +62,7 @@ class TestLadderOperators:
 
     def test_sqrt2_element(self):
         basis = FockBasis(n_max=2)
-        a = build_annihilator(basis, "signal").matrix
+        a = build_annihilator(basis, "signal")
         assert a[basis.index(1, 0, 0), basis.index(2, 0, 0)] == pytest.approx(np.sqrt(2))
 
     def test_commutator_below_truncation(self):
@@ -66,27 +70,27 @@ class TestLadderOperators:
         basis = FockBasis(n_max=3)
         occ = basis.occupations()
         for mode, axis in (("signal", 0), ("idler", 1), ("output", 2)):
-            a = build_annihilator(basis, mode).matrix
+            a = build_annihilator(basis, mode)
             comm = a @ a.conj().T - a.conj().T @ a
             sub = occ[:, axis] < basis.n_max
             assert np.allclose(comm[np.ix_(sub, sub)], np.eye(sub.sum()), atol=1e-14)
 
     def test_number_operator(self):
         basis = FockBasis(n_max=3)
-        n_op = build_number_operator(basis, "idler").matrix
+        n_op = build_number_operator(basis, "idler")
         assert np.allclose(np.diag(n_op), basis.occupations()[:, 1])
 
 
 class TestHamiltonians:
     def test_zero_coupling(self):
         basis = FockBasis(n_max=2)
-        assert not build_qfc_hamiltonian(basis, params(kappa=0.0)).matrix.any()
-        assert not build_spdc_hamiltonian(basis, params(gamma=0.0)).matrix.any()
+        assert not build_qfc_hamiltonian(basis, params(kappa=0.0)).any()
+        assert not build_spdc_hamiltonian(basis, params(gamma=0.0)).any()
 
     def test_qfc_single_excitation_structure(self):
         basis = FockBasis(n_max=1)
         h = build_qfc_hamiltonian(basis, params(kappa=0.7, amp=1.0))
-        nz = np.argwhere(h.matrix != 0)
+        nz = np.argwhere(h != 0)
         occ = basis.occupations()
         for i, j in nz:
             # couples |n_s,1,0> and |n_s,0,1| only
@@ -97,13 +101,13 @@ class TestHamiltonians:
         # oracle: the generators multiplied out from the single-mode ladders
         for n in (1, 2, 3, 5):
             basis = FockBasis(n_max=n)
-            a_s, a_i, a_o = (build_annihilator(basis, m).matrix for m in basis.modes)
+            a_s, a_i, a_o = (build_annihilator(basis, m) for m in fock.MODES)
             p = params(kappa=0.7, gamma=1.1, amp=0.3)
             pair = 1j * p.gamma * p.pump_amplitude * (a_s @ a_i)
             conv = 1j * p.kappa * p.pump_amplitude * (a_i.conj().T @ a_o)
-            assert np.array_equal(build_spdc_hamiltonian(basis, p).matrix,
+            assert np.array_equal(build_spdc_hamiltonian(basis, p),
                                   pair + pair.conj().T)
-            assert np.array_equal(build_qfc_hamiltonian(basis, p).matrix,
+            assert np.array_equal(build_qfc_hamiltonian(basis, p),
                                   conv + conv.conj().T)
 
     def test_hermitian_random_params(self):
@@ -114,13 +118,13 @@ class TestHamiltonians:
             p = params(kappa=rng.uniform(0, 3), gamma=rng.uniform(0, 3),
                        amp=rng.uniform(0, 2), t=rng.uniform(0, 2))
             for build in (build_qfc_hamiltonian, build_spdc_hamiltonian):
-                h = build(basis, p).matrix
+                h = build(basis, p)
                 assert np.abs(h - h.conj().T).max() < 1e-12
 
     def test_spdc_pair_creation_from_vacuum(self):
         basis = FockBasis(n_max=2)
         h = build_spdc_hamiltonian(basis, params(gamma=0.8, amp=0.5))
-        out = h.matrix @ vacuum(basis).amplitudes
+        out = h @ vacuum(basis).amplitudes
         nz = np.nonzero(out)[0]
         assert list(nz) == [basis.index(1, 1, 0)]
 
@@ -128,17 +132,17 @@ class TestHamiltonians:
         # convention: <1,1,0| H |0,0,0> = -i*gamma*A
         basis = FockBasis(n_max=2)
         h = build_spdc_hamiltonian(basis, params(gamma=0.8, amp=0.5))
-        elem = h.matrix[basis.index(1, 1, 0), basis.index(0, 0, 0)]
+        elem = h[basis.index(1, 1, 0), basis.index(0, 0, 0)]
         assert elem == pytest.approx(-1j * 0.8 * 0.5, abs=1e-15)
 
     def test_conservation_laws(self):
         basis = FockBasis(n_max=3)
         p = params(kappa=1.3, gamma=0.9, amp=0.8, t=0.7)
-        n_s = build_number_operator(basis, "signal").matrix
-        n_i = build_number_operator(basis, "idler").matrix
-        n_o = build_number_operator(basis, "output").matrix
-        h_conv = build_qfc_hamiltonian(basis, p).matrix
-        h_pair = build_spdc_hamiltonian(basis, p).matrix
+        n_s = build_number_operator(basis, "signal")
+        n_i = build_number_operator(basis, "idler")
+        n_o = build_number_operator(basis, "output")
+        h_conv = build_qfc_hamiltonian(basis, p)
+        h_pair = build_spdc_hamiltonian(basis, p)
         assert np.abs(h_conv @ (n_i + n_o) - (n_i + n_o) @ h_conv).max() < 1e-10
         assert np.abs(h_pair @ (n_s - n_i) - (n_s - n_i) @ h_pair).max() < 1e-10
 
@@ -178,14 +182,14 @@ class TestEvolve:
             p = params(kappa=rng.uniform(0, 2), gamma=rng.uniform(0, 2),
                        amp=rng.uniform(0, 1), t=rng.uniform(0, 3))
             for build in (build_qfc_hamiltonian, build_spdc_hamiltonian):
-                u = evolution_operator(build(basis, p), p.interaction_time).matrix
+                u = evolution_operator(build(basis, p), p.interaction_time)
                 assert np.abs(u.conj().T @ u - np.eye(basis.dim)).max() < 1e-10
                 st = evolve(vacuum(basis), build(basis, p), p.interaction_time)
                 assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
 
     def test_non_hermitian_rejected(self):
         basis = FockBasis(n_max=1)
-        bad = fock.FockOperator(basis, build_annihilator(basis, "idler").matrix)
+        bad = build_annihilator(basis, "idler")
         with pytest.raises(NonHermitianError):
             evolve(vacuum(basis), bad, 1.0)
 
@@ -199,8 +203,8 @@ class TestEvolve:
         basis = FockBasis(n_max=3)
         p = params(kappa=1.0, gamma=0.0, amp=0.9, t=0.8)
         h = build_qfc_hamiltonian(basis, p)
-        total = fock.FockOperator(basis, build_number_operator(basis, "idler").matrix
-                                  + build_number_operator(basis, "output").matrix)
+        total = (build_number_operator(basis, "idler")
+                 + build_number_operator(basis, "output"))
         st = number_state(basis, 0, 1, 0)
         before = st.expectation(total)
         after = evolve(st, h, 0.8).expectation(total)
@@ -322,9 +326,10 @@ class TestSectorCascade:
 
     def test_never_builds_a_dense_operator(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("dense operator built")
+            raise AssertionError("dense operator or occupation table built")
         monkeypatch.setattr(fock, "evolve", refuse)
-        monkeypatch.setattr(fock, "_ladder_matrix", refuse)
+        monkeypatch.setattr(fock, "_kron3", refuse)
+        monkeypatch.setattr(FockBasis, "occupations", refuse)
         state = cascaded_evolution(FockBasis(n_max=60), params(amp=1.0))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
         obs = correlation_observables(state)
@@ -366,3 +371,34 @@ class TestCorrelations:
         rec = correlation_observables(st).as_record()
         assert rec["n_max"] == 3
         assert "g2_signal_idler" in rec and "n_output" in rec
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           keep=st.floats(0.05, 1.0))
+    def test_matches_occupation_oracle(self, n_max, seed, keep):
+        # oracle: occupation-weighted sums over the enumerated basis
+        basis = FockBasis(n_max=n_max)
+        rng = np.random.default_rng(seed)
+        amps = (rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)) \
+            * (rng.random(basis.dim) < keep)
+        if not amps.any():
+            reject()
+        state = fock.FockState(basis, amps)
+        occ = basis.occupations()
+        p = np.abs(state.amplitudes) ** 2
+        means = dict(zip(fock.MODES, p @ occ))
+        pairs = tuple(itertools.product(fock.MODES, repeat=2))
+        if min(means.values()) < 1e-15:
+            with pytest.raises(UndefinedCorrelationError):
+                correlation_observables(state, pairs=pairs)
+            return
+        obs = correlation_observables(state, pairs=pairs)
+        want_cross = {(a, b): p @ (occ[:, i] * occ[:, j]) / (means[a] * means[b])
+                      for (i, a), (j, b) in itertools.product(enumerate(fock.MODES), repeat=2)}
+        want_auto = {m: p @ (occ[:, k] * (occ[:, k] - 1)) / means[m] ** 2
+                     for k, m in enumerate(fock.MODES)}
+        for got, want in ((obs.mean_photons, means), (obs.g2_cross, want_cross),
+                          (obs.g2_auto, want_auto)):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-13, abs=0), key

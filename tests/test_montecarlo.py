@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qfclab import montecarlo
 from qfclab.config import bundled_losses, bundled_model
 from qfclab.montecarlo import (ChannelConfig, ConfigurationError, ScenarioConfig,
                                TagStream, branch_rates, expected_rates,
@@ -37,6 +38,11 @@ class TestTagStream:
         s = TagStream(0, np.array([1, 2, 2, 5]), 1.0)
         assert s.rate_hz == 4.0
 
+    def test_duration_ps_rounds(self):
+        # 4.1 s is 4099999999999.9995 ps in float64: rounded, not truncated
+        s = TagStream(0, np.array([4_099_999_999_999]), 4.1)
+        assert s.duration_ps == 4_100_000_000_000
+
 
 class TestGeneration:
     def test_dark_only_poisson(self, model):
@@ -44,6 +50,14 @@ class TestGeneration:
         streams = generate_streams(dark_only_scenario(13.0, 10.0, seed=42), model)
         n = len(streams["output"])
         assert abs(n - 130) <= 57
+
+    def test_last_picosecond_kept(self, model, monkeypatch):
+        # the generator bounds tags with TagStream's rounding of the duration
+        last = 4_099_999_999_999
+        monkeypatch.setattr(montecarlo, "_poisson_times",
+                            lambda rng, rate, t0, t1: np.array([float(last)]))
+        stream = generate_streams(dark_only_scenario(13.0, 4.1), model)["output"]
+        assert stream.tags.tolist() == [last] * 5
 
     def test_zero_duration_empty(self, model):
         streams = generate_streams(dark_only_scenario(13.0, 0.0), model)
