@@ -1,10 +1,13 @@
 """Device calibration: the bundled parameter set, config files, and fitting.
 
-The bundled calibration is derived at call time from a small set of device
-anchor values (internal efficiency 10.5% and external 5.5% at 200 mW pump,
-13 Hz dark counts, 1.3 Hz background inside a 20 MHz line at 200 mW, a
-50%-transmission etalon with 340 GHz FSR and 5.5 GHz width), so the anchors
-hold exactly rather than to rounded constants.
+The bundled calibration is derived at call time, in closed form, from a
+small set of device anchor values (internal efficiency 10.5% and external
+5.5% at 200 mW pump, 13 Hz dark counts, 1.3 Hz background inside a 20 MHz
+line at 200 mW, a 50%-transmission etalon with 340 GHz FSR and 5.5 GHz
+width), so the anchors hold exactly rather than to rounded constants.
+`bundled_model` and `bundled_losses` are the only source of the device
+numbers: the parameter dataclasses carry no defaults, and a config file
+must name every field.
 
 Config files are flat JSON with a schema_version key; every artifact the
 scenario runner emits embeds the content hash of the active config.
@@ -12,6 +15,7 @@ scenario runner emits embeds the content hash of the active config.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -41,15 +45,10 @@ class CalibrationError(RuntimeError):
 
 def _calibrated_eta_nor(length_mm, uv_absorption_per_mw, target=ETA_INT_AT_200MW,
                         at_mw=200.0):
-    from scipy.optimize import brentq  # imported here: scipy is slow to import
-    p_eff = at_mw * np.exp(-uv_absorption_per_mw * at_mw)
-
-    def f(eta_nor):
-        return np.sin(np.sqrt(eta_nor * p_eff) * length_mm) ** 2 - target
-
-    # restrict to the first monotonic branch (argument of sin below pi/2)
-    upper = (0.5 * np.pi / length_mm) ** 2 / p_eff
-    return brentq(f, 1e-12, upper, xtol=1e-18)
+    # root of sin^2(sqrt(eta_nor * P_eff) * L) = target on the first monotonic
+    # branch (argument of sin below pi/2)
+    p_eff = at_mw * math.exp(-uv_absorption_per_mw * at_mw)
+    return (math.asin(math.sqrt(target)) / length_mm) ** 2 / p_eff
 
 
 def _calibrated_noise_quad(bandwidth_ghz, target=NARROWLINE_HZ, at_mw=200.0,
@@ -135,12 +134,28 @@ def config_to_dict(model, losses):
     }
 
 
+def _config_section(data, section, cls):
+    if section not in data:
+        raise ValueError(f"config has no {section!r} section")
+    values = data[section]
+    if not isinstance(values, dict):
+        raise ValueError(f"config section {section!r} must be an object")
+    fields = cls.__dataclass_fields__.keys()
+    missing, unknown = sorted(fields - values.keys()), sorted(values.keys() - fields)
+    if missing or unknown:
+        raise ValueError(f"config section {section!r}: missing keys {missing}, "
+                         f"unknown keys {unknown}")
+    return cls(**values)
+
+
 def config_from_dict(data):
+    """(ConverterModel, LossBudget) from a config dict; every field of both
+    sections must be present, and no other key, else ValueError."""
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unrecognized schema_version {version!r}")
-    return (ConverterModel(**data["converter"]),
-            LossBudget(**data["loss_budget"]))
+    return (_config_section(data, "converter", ConverterModel),
+            _config_section(data, "loss_budget", LossBudget))
 
 
 def config_hash(data):
@@ -167,6 +182,8 @@ def load_config(path):
 
 _MODEL_FIELDS = set(ConverterModel.__dataclass_fields__)
 _LOSS_FIELDS = set(LossBudget.__dataclass_fields__)
+_PUMP_OBSERVABLES = ("eta_int", "eta_ext", "narrowline_noise", "noise_unfiltered",
+                     "noise_etalon")
 
 
 def _evaluate_observable(name, model, losses):
@@ -175,6 +192,9 @@ def _evaluate_observable(name, model, losses):
         p = float(arg)
     else:
         key, p = name, None
+    if p is None and key in _PUMP_OBSERVABLES:
+        raise CalibrationError(f"anchor {name!r} needs a pump power, "
+                               f"e.g. {key}@200")
     if key == "eta_int":
         return conversion_efficiency(p, model, internal=True)
     if key == "eta_ext":

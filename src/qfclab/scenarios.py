@@ -71,9 +71,16 @@ class RunManifest:
             raise ScenarioError("scenario names must be unique within a manifest")
 
 
+def _scenario_from_dict(index, entry):
+    for key in ("name", "kind"):
+        if key not in entry:
+            raise ScenarioError(f"manifest scenario #{index} {entry!r} has no {key!r}")
+    return Scenario(entry["name"], entry["kind"], entry.get("params", {}))
+
+
 def manifest_from_dict(data):
-    scenarios = [Scenario(s["name"], s["kind"], s.get("params", {}))
-                 for s in data.get("scenarios", [])]
+    scenarios = [_scenario_from_dict(i, entry)
+                 for i, entry in enumerate(data.get("scenarios", []))]
     return RunManifest(scenarios, seed=data.get("seed", 12345),
                        output_dir=data.get("output_dir", "out"),
                        config_path=data.get("config_path"),

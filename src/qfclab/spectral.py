@@ -129,21 +129,23 @@ class ConverterModel:
     folded in); see the module docstring for the component layout.
     poling_period_um describes the device only: the phase-matching band
     enters the model through its sinc^2 FWHM, noise_bandwidth_ghz.
+    Fields have no defaults; the device's values come from
+    config.bundled_model() or a config file.
     """
 
-    length_mm: float = 9.6
-    poling_period_um: float = 2.535
-    lambda_input_nm: float = 1311.0
-    lambda_pump_nm: float = 514.5
-    eta_nor_per_mw_mm2: float = 8.813664923135374e-06
-    uv_absorption_per_mw: float = 0.002
-    pair_rate_per_mw: float = 2.5e5
-    noise_bandwidth_ghz: float = 13140.0
-    noise_quad_hz_per_mw2: float = 15.344318531165154
-    noise_floor_density_hz_per_ghz_mw: float = 7.610350076103501e-05
-    detector_stray_hz_per_mw: float = 20.0
-    input_flux_hz: float = 6.0e6
-    dark_count_rate_hz: float = 13.0
+    length_mm: float
+    poling_period_um: float
+    lambda_input_nm: float
+    lambda_pump_nm: float
+    eta_nor_per_mw_mm2: float
+    uv_absorption_per_mw: float
+    pair_rate_per_mw: float
+    noise_bandwidth_ghz: float
+    noise_quad_hz_per_mw2: float
+    noise_floor_density_hz_per_ghz_mw: float
+    detector_stray_hz_per_mw: float
+    input_flux_hz: float
+    dark_count_rate_hz: float
 
     def __post_init__(self):
         if self.length_mm <= 0 or self.poling_period_um <= 0:
@@ -178,14 +180,15 @@ class LossBudget:
     external and internal efficiencies (eta_ext = eta_int * mode_matching)
     and is deliberately not part of eta_loss, which covers only the
     detection path: bulk optics, fiber coupling, detector efficiency and,
-    when present, the narrow etalon.
+    when present, the narrow etalon. The device's budget is
+    config.bundled_losses(); fields have no defaults.
     """
 
-    external_optics: float = 0.78
-    fiber_coupling: float = 0.69
-    detector_efficiency: float = 0.14
-    etalon_transmission: float = 0.50
-    mode_matching: float = 0.055 / 0.105
+    external_optics: float
+    fiber_coupling: float
+    detector_efficiency: float
+    etalon_transmission: float
+    mode_matching: float
 
     def __post_init__(self):
         for name in ("external_optics", "fiber_coupling", "detector_efficiency",

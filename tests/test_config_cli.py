@@ -1,21 +1,24 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import qfclab
 from qfclab import cli, scenarios, spectral
-from qfclab.config import (CalibrationError, bundled_losses, bundled_model,
-                           calibrate, config_hash, config_to_dict, load_config,
-                           save_config, uv_stack)
+from qfclab.config import (CalibrationError, _calibrated_eta_nor, bundled_losses,
+                           bundled_model, calibrate, config_hash, config_to_dict,
+                           load_config, save_config, uv_stack)
 from qfclab.scenarios import (Scenario, ScenarioError, compute_snr_sweep,
-                              default_manifest, read_table, run_scenario)
+                              default_manifest, manifest_from_dict, read_table,
+                              run_scenario)
 from qfclab.spectral import conversion_efficiency, detected_signal_rate, noise_rate
 
 
@@ -30,15 +33,17 @@ def losses():
 
 
 # bundled_model() field values, pinned when the calibration spelled the
-# unit-area sinc^2 norm as a literal instead of spectral._shape_norm_ghz
+# unit-area sinc^2 norm as a literal instead of spectral._shape_norm_ghz;
+# eta_nor (and pair_rate, derived from it) since then moved to the correctly
+# rounded closed-form root, 1 ulp below the old bracketing root-find
 _PINNED_BUNDLED_MODEL = {
     "length_mm": 9.6,
     "poling_period_um": 2.535,
     "lambda_input_nm": 1311.0,
     "lambda_pump_nm": 514.5,
-    "eta_nor_per_mw_mm2": 8.813664923135376e-06,
+    "eta_nor_per_mw_mm2": 8.813664923135374e-06,
     "uv_absorption_per_mw": 0.002,
-    "pair_rate_per_mw": 250713.01606914838,
+    "pair_rate_per_mw": 250713.01606914843,
     "noise_bandwidth_ghz": 13140.0,
     "noise_quad_hz_per_mw2": 15.344318770979738,
     "noise_floor_density_hz_per_ghz_mw": 7.610350076103501e-05,
@@ -54,6 +59,25 @@ class TestBundledCalibration:
         quad = 1.3 * literal_norm / (200.0 ** 2 * 0.5 * np.pi * 0.02)
         assert model.noise_quad_hz_per_mw2 == quad
         assert asdict(model) == _PINNED_BUNDLED_MODEL
+
+    @pytest.mark.parametrize("length_mm", [1.0, 9.6, 40.0])
+    @pytest.mark.parametrize("uv_abs", [0.0, 0.002, 0.01])
+    @pytest.mark.parametrize("target", [0.01, 0.105, 0.5, 0.9])
+    def test_closed_form_root(self, length_mm, uv_abs, target):
+        # oracles: the bracketing root-find the closed form replaced, held to
+        # its own documented bound, and a 50-digit evaluation of the same root
+        got = _calibrated_eta_nor(length_mm, uv_abs, target=target)
+        assert type(got) is float
+        p_eff = 200.0 * math.exp(-uv_abs * 200.0)
+        xtol = 1e-18
+        root = brentq(lambda e: np.sin(np.sqrt(e * p_eff) * length_mm) ** 2 - target,
+                      1e-12, (0.5 * np.pi / length_mm) ** 2 / p_eff, xtol=xtol)
+        assert abs(got - root) <= xtol + 4 * np.finfo(float).eps * abs(root)
+        with mpmath.workdps(50):
+            p_eff_mp = 200 * mpmath.exp(-mpmath.mpf(uv_abs) * 200)
+            exact = (mpmath.asin(mpmath.sqrt(mpmath.mpf(target)))
+                     / mpmath.mpf(length_mm)) ** 2 / p_eff_mp
+            assert abs(mpmath.mpf(got) - exact) <= 4 * math.ulp(got)
 
 
 class TestConfigFiles:
@@ -76,6 +100,22 @@ class TestConfigFiles:
         with pytest.raises(FileExistsError):
             save_config(path, model, losses)
         save_config(path, model, losses, force=True)
+
+    @pytest.mark.parametrize("breakage, named", [
+        (lambda d: d["converter"].pop("pair_rate_per_mw"), "pair_rate_per_mw"),
+        (lambda d: d["loss_budget"].update(bogus_gain=2.0), "bogus_gain"),
+        (lambda d: d.pop("loss_budget"), "loss_budget"),
+    ], ids=["missing_key", "unknown_key", "missing_section"])
+    def test_incomplete_config_rejected(self, tmp_path, model, losses, breakage, named):
+        path = tmp_path / "cal.json"
+        data = config_to_dict(model, losses)
+        breakage(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=named):
+            load_config(path)
+        rc = cli.main(["run", "--scenario", "efficiency_sweep", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
 
     def test_unknown_schema_rejected(self, tmp_path, model, losses):
         path = tmp_path / "cal.json"
@@ -116,6 +156,13 @@ class TestCalibrate:
         got = conversion_efficiency(200.0, m)
         assert 0.10 < got < 0.11
         assert resid["eta_int@200"] != 0.0
+
+    @pytest.mark.parametrize("observable", ["eta_int", "eta_ext", "narrowline_noise",
+                                            "noise_unfiltered", "noise_etalon"])
+    def test_pump_dependent_anchor_needs_power(self, model, losses, observable):
+        for free in ([], ["eta_nor_per_mw_mm2"]):
+            with pytest.raises(CalibrationError, match=observable):
+                calibrate([(observable, 0.1)], free, model, losses)
 
     def test_unknown_names(self, model, losses):
         with pytest.raises(CalibrationError):
@@ -277,9 +324,16 @@ class TestCli:
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert scipy_modules() == [], scipy_modules()[:5]\n"
-            "src, csv, dst = sys.argv[1:]\n"
+            "src, csv, dst, out = sys.argv[1:]\n"
             "assert qfclab.cli.main(['convert', src, csv]) == 0\n"
             "assert qfclab.cli.main(['convert', csv, dst]) == 0\n"
+            "assert scipy_modules() == [], scipy_modules()[:5]\n"
+            "from qfclab import acceptance, config, scenarios\n"
+            "model, losses = config.bundled_model(), config.bundled_losses()\n"
+            "scenarios.run_manifest(scenarios.RunManifest(\n"
+            "    [scenarios.Scenario('eff', 'efficiency_sweep')], output_dir=out))\n"
+            "assert acceptance.check_efficiency_calibration(model, losses).passed\n"
+            "assert acceptance.check_fock_engine(model, losses).passed\n"
             "assert scipy_modules() == [], scipy_modules()[:5]\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -287,7 +341,7 @@ class TestCli:
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
         proc = subprocess.run(
             [sys.executable, "-c", script, str(src), str(tmp_path / "a.csv"),
-             str(tmp_path / "b.qtag")],
+             str(tmp_path / "b.qtag"), str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert src.read_bytes() == (tmp_path / "b.qtag").read_bytes()
@@ -296,6 +350,12 @@ class TestCli:
         (tmp_path / "x.txt").write_text("")
         rc = cli.main(["convert", str(tmp_path / "x.txt"), str(tmp_path / "y.qtag")])
         assert rc == cli.EXIT_CONFIG
+
+    def test_calibrate_anchor_without_power(self, capsys):
+        for extra in ([], ["--free", "eta_nor_per_mw_mm2"]):
+            assert cli.main(["calibrate", "--anchor", "eta_int=0.1", *extra]) \
+                == cli.EXIT_CONFIG
+            assert "'eta_int'" in capsys.readouterr().err
 
     def test_calibrate_writes_config(self, tmp_path, capsys):
         out = tmp_path / "cal.json"
@@ -350,6 +410,17 @@ class TestManifest:
         assert sorted(s.kind for s in m.scenarios) == sorted(KINDS)
 
     def test_bad_schema_version(self):
-        from qfclab.scenarios import manifest_from_dict
         with pytest.raises(ScenarioError, match="schema_version"):
             manifest_from_dict({"schema_version": 2, "scenarios": []})
+
+    @pytest.mark.parametrize("entry, key", [({"kind": "fock_demo"}, "name"),
+                                            ({"name": "fd"}, "kind")])
+    def test_scenario_without_name_or_kind(self, tmp_path, entry, key):
+        data = {"schema_version": 1, "output_dir": str(tmp_path / "o"),
+                "scenarios": [{"name": "eff", "kind": "efficiency_sweep"}, entry]}
+        with pytest.raises(ScenarioError, match=rf"#1 .*'{key}'"):
+            manifest_from_dict(data)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(data))
+        assert cli.main(["run", "--manifest", str(mpath)]) == cli.EXIT_CONFIG
+        assert cli.main(["verify", "--manifest", str(mpath)]) == cli.EXIT_CONFIG

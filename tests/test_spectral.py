@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from qfclab.config import (bundled_losses, bundled_model, narrowline_filter,
                            uv_bandpass, uv_etalon, uv_spectrometer, uv_stack)
-from qfclab.spectral import (C_NM_GHZ, LossBudget, SpectralFilter,
+from qfclab.spectral import (C_NM_GHZ, SpectralFilter,
                              WavelengthTriple, _sinc2_shape, band_fraction,
                              cascade_rate, conversion_efficiency,
                              detected_signal_rate, energy_gap,
@@ -319,11 +319,11 @@ class TestLossBudget:
         assert losses.eta_loss() == pytest.approx(base)
         assert losses.eta_loss(with_etalon=True) == pytest.approx(base * 0.5)
 
-    def test_validation(self):
+    def test_validation(self, losses):
         with pytest.raises(ValueError):
-            LossBudget(external_optics=0.0)
+            replace(losses, external_optics=0.0)
         with pytest.raises(ValueError):
-            LossBudget(fiber_coupling=1.2)
+            replace(losses, fiber_coupling=1.2)
 
     def test_band_fraction_bounds(self, model):
         f = band_fraction(uv_stack(model, etalon=True), model.lambda_output_nm,
