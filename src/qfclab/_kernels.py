@@ -5,9 +5,22 @@ integer picosecond arithmetic throughout, with slow reference versions kept
 in ``acceptance.py`` (``_oracle_outer``/``_oracle_edges`` for the pair
 histogram, ``_oracle_dead_time`` for the dead-time filter) and checked by
 the acceptance battery and the property tests.
+
+`pair_histogram` runs one window search per tag: a searchsorted for the
+first partner, and only for the tags that have one, a few stepping rounds
+for the end of the window, with a second searchsorted for the rare tags
+whose window holds more. The auto-correlation at tau_min == 0 needs no
+search at all: tag i's window starts at index i + 1, and the ordered pairs
+j < i of equal timestamps, all at tau = 0, are added to bin 0 as the sum of
+L(L+1)/2 over the runs of L consecutive ties. The first stream is processed
+in chunks of PAIR_CHUNK tags, so the per-tag temporaries are sized by the
+chunk, not by the stream.
 """
 
 import numpy as np
+
+PAIR_CHUNK = 1 << 18    # tags of a per pass of pair_histogram: bounds its temporaries
+_STEP_ROUNDS = 4        # stepping rounds for hi before the searchsorted fallback
 
 
 def is_sorted(tags):
@@ -16,38 +29,79 @@ def is_sorted(tags):
     return not np.any(tags[1:] < tags[:-1])
 
 
-def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
-    """Windowed pair histogram via searchsorted + ragged gather.
+def _tie_pairs(tags):
+    """Ordered pairs j < i with tags[j] == tags[i] in sorted tags: the sum of
+    L(L+1)/2 over the runs of L consecutive ``tags[1:] == tags[:-1]``."""
+    eq = np.flatnonzero(tags[1:] == tags[:-1])
+    if len(eq) == 0:
+        return 0
+    breaks = np.flatnonzero(np.diff(eq) != 1) + 1
+    runs = np.diff(np.concatenate(([0], breaks, [len(eq)])))
+    return int((runs * (runs + 1) // 2).sum())
 
-    Counts ordered pairs (i, j) with tau = b[j] - a[i] in [tau_min, tau_max),
-    binned as (tau - tau_min) // bin_width. When exclude_self is set, a and b
-    must be the same array and pairs with i == j are skipped.
+
+def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
+    """Histogram of the ordered pairs (i, j) with tau = b[j] - a[i] in
+    [tau_min, tau_max), binned as (tau - tau_min) // bin_width.
+
+    a and b are sorted int64 ps and the window is a whole number of bins.
+    The tags of a go in chunks of PAIR_CHUNK. Per chunk, one searchsorted
+    gives lo, the first b at or after a + tau_min, and only the tags with
+    b[lo] < a + tau_max go on. Their hi, the first b at or after
+    a + tau_max, comes from stepping from lo + 1 for _STEP_ROUNDS rounds
+    and a searchsorted for the few tags whose window holds more. The pairs
+    are then gathered by their flat index into b and binned by bincount.
+
+    exclude_self skips the pairs with i == j and needs ``b is a`` and
+    tau_min >= 0; anything else raises ValueError. For tau_min > 0 no
+    self-pair is in the window. For tau_min == 0 the window of tag i starts
+    at index i + 1 without a search, and the ordered tie pairs j < i, all at
+    tau = 0, go to bin 0 in closed form (`_tie_pairs`).
     """
+    if exclude_self and (b is not a or tau_min < 0):
+        raise ValueError("exclude_self needs b to be a and tau_min >= 0")
     tau_min, tau_max = np.int64(tau_min), np.int64(tau_max)
     bin_width = np.int64(bin_width)
     nbins = int((tau_max - tau_min) // bin_width)
     counts = np.zeros(nbins, dtype=np.int64)
     if len(a) == 0 or len(b) == 0:
         return counts
-    chunk = 1_000_000
-    for start in range(0, len(a), chunk):
-        aa = a[start:start + chunk]
-        lo = np.searchsorted(b, aa + tau_min, side="left")
-        hi = np.searchsorted(b, aa + tau_max, side="left")
-        n = hi - lo
-        total = int(n.sum())
-        if total == 0:
+    after_self = exclude_self and tau_min == 0
+    if after_self:
+        counts[0] += _tie_pairs(a)
+    last = len(b) - 1
+    for start in range(0, len(a), PAIR_CHUNK):
+        aa = a[start:start + PAIR_CHUNK]
+        if after_self:
+            lo = np.arange(start + 1, start + 1 + len(aa))
+        else:
+            first = aa + tau_min
+            # every lo of the chunk lies in [off, stop]: search that span only
+            off, stop = np.searchsorted(b, first[[0, -1]], side="left")
+            lo = np.searchsorted(b[off:stop], first, side="left")
+            lo += off
+        # lo never decreases, so the windows that start past b are a suffix
+        inside = int(np.searchsorted(lo, len(b)))
+        live = np.flatnonzero(b[lo[:inside]] < aa[:inside] + tau_max)
+        if len(live) == 0:
             continue
-        # flat indices of all matching b entries for every a in this chunk
-        rep = np.repeat(np.arange(len(aa)), n)
-        offs = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
-        j = np.repeat(lo, n) + offs
-        tau = b[j] - aa[rep]
-        if exclude_self:
-            keep = j != (rep + start)
-            tau = tau[keep]
-        bins = (tau - tau_min) // bin_width
-        counts += np.bincount(bins, minlength=nbins).astype(np.int64)
+        lo, t = lo[live], aa[live]
+        end = t + tau_max
+        hi = lo + 1
+        open_ = np.arange(len(live))
+        for _ in range(_STEP_ROUNDS):
+            h = hi[open_]
+            open_ = open_[(h <= last) & (b[np.minimum(h, last)] < end[open_])]
+            if len(open_) == 0:
+                break
+            hi[open_] += 1
+        else:
+            hi[open_] = np.searchsorted(b, end[open_], side="left")
+        n = hi - lo
+        starts = np.cumsum(n) - n
+        j = np.arange(int(starts[-1] + n[-1])) + np.repeat(lo - starts, n)
+        tau = b[j] - np.repeat(t, n)
+        counts += np.bincount((tau - tau_min) // bin_width, minlength=nbins)
     return counts
 
 

@@ -16,6 +16,7 @@ scenario runner emits embeds the content hash of the active config.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -145,12 +146,18 @@ def _config_section(data, section, cls):
     if missing or unknown:
         raise ValueError(f"config section {section!r}: missing keys {missing}, "
                          f"unknown keys {unknown}")
+    for key, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"config section {section!r}: key {key!r} must be a "
+                             f"finite number, got {value!r}")
     return cls(**values)
 
 
 def config_from_dict(data):
     """(ConverterModel, LossBudget) from a config dict; every field of both
-    sections must be present, and no other key, else ValueError."""
+    sections must be present as a finite JSON number, and no other key, else
+    ValueError."""
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unrecognized schema_version {version!r}")

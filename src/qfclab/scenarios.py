@@ -52,6 +52,12 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ScenarioError(f"scenario {self.name!r}: params must be an object")
+        unknown = sorted(set(self.params) - set(PARAM_KEYS[self.kind]))
+        if unknown:
+            raise ScenarioError(f"scenario {self.name!r} ({self.kind}): unknown params "
+                                f"{unknown}; accepted {list(PARAM_KEYS[self.kind])}")
 
 
 @dataclass
@@ -395,6 +401,19 @@ _COMPUTE = {
     "coincidence_si": compute_coincidence_si,
     "coincidence_so": compute_coincidence_so,
     "fock_demo": compute_fock_demo,
+}
+
+# the params keys each kind's compute_* function reads (a test pins them to
+# the code); Scenario rejects any other key
+_COINCIDENCE_KEYS = ("pump_power_mw", "duration_s", "bin_width_ps", "window_ns")
+PARAM_KEYS = {
+    "efficiency_sweep": ("powers_mw",),
+    "snr_sweep": ("powers_mw", "acquisition_s", "etalon"),
+    "noise_sweep": ("powers_mw", "acquisition_s", "n_seeds"),
+    "noise_spectrum": ("pump_power_mw", "floor_per_bin_hz"),
+    "coincidence_si": _COINCIDENCE_KEYS,
+    "coincidence_so": _COINCIDENCE_KEYS,
+    "fock_demo": ("pump_amplitudes", "kappa", "gamma", "interaction_time", "n_max"),
 }
 
 

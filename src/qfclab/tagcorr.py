@@ -1,9 +1,14 @@
 """Coincidence analysis of time-tag streams.
 
 The correlator counts ordered pairs (t_a, t_b) with tau = t_b - t_a inside a
-half-open window [tau_min, tau_max) by searchsorted window bounds over the
-sorted streams and one bincount of the matched pairs (the kernel is
-`_kernels.pair_histogram`).
+half-open window [tau_min, tau_max) with `_kernels.pair_histogram`: one
+searchsorted per tag of the first stream finds the start of its window in
+the sorted second stream, the tags with an empty window drop out there, and
+the window ends of the rest are found by a few stepping rounds before a
+second search. The auto-correlation does no search: a tag's window starts
+at the next tag, and the pairs of equal timestamps, all at tau = 0, are
+counted in closed form. The kernel takes the first stream in chunks of
+`_kernels.PAIR_CHUNK` tags, so its temporaries stay bounded.
 Bins are half-open [lower, upper), tau sign is t_b - t_a, and histograms are
 never symmetrized.
 

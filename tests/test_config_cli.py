@@ -1,8 +1,11 @@
+import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -14,9 +17,9 @@ from scipy.optimize import brentq
 import qfclab
 from qfclab import cli, scenarios, spectral
 from qfclab.config import (CalibrationError, _calibrated_eta_nor, bundled_losses,
-                           bundled_model, calibrate, config_hash, config_to_dict,
-                           load_config, save_config, uv_stack)
-from qfclab.scenarios import (Scenario, ScenarioError, compute_snr_sweep,
+                           bundled_model, calibrate, config_from_dict, config_hash,
+                           config_to_dict, load_config, save_config, uv_stack)
+from qfclab.scenarios import (PARAM_KEYS, Scenario, ScenarioError, compute_snr_sweep,
                               default_manifest, manifest_from_dict, read_table,
                               run_scenario)
 from qfclab.spectral import conversion_efficiency, detected_signal_rate, noise_rate
@@ -51,6 +54,25 @@ _PINNED_BUNDLED_MODEL = {
     "input_flux_hz": 6000000.0,
     "dark_count_rate_hz": 13.0,
 }
+
+
+def _params_keys_read(func):
+    """The keys func reads as params.get("key", ...) or params["key"], with
+    those of the scenarios helpers it passes params on to."""
+    keys = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "params":
+            keys.add(node.slice.value)
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "get"
+                and getattr(f.value, "id", None) == "params"):
+            keys.add(node.args[0].value)
+        elif isinstance(f, ast.Name) and any(getattr(arg, "id", None) == "params"
+                                             for arg in node.args):
+            keys |= _params_keys_read(getattr(scenarios, f.id))
+    return keys
 
 
 class TestBundledCalibration:
@@ -113,6 +135,26 @@ class TestConfigFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=named):
             load_config(path)
+        rc = cli.main(["run", "--scenario", "efficiency_sweep", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key", [
+        *(("converter", k) for k in spectral.ConverterModel.__dataclass_fields__),
+        *(("loss_budget", k) for k in spectral.LossBudget.__dataclass_fields__)])
+    @pytest.mark.parametrize("value", ["9.6", None, True, [0.5], math.nan, math.inf],
+                             ids=["string", "null", "bool", "list", "nan", "inf"])
+    def test_value_not_a_finite_number_rejected(self, model, losses, section, key, value):
+        data = config_to_dict(model, losses)
+        data[section][key] = value
+        with pytest.raises(ValueError, match=rf"section '{section}': key '{key}'"):
+            config_from_dict(data)
+
+    def test_string_value_exits_config(self, tmp_path, model, losses):
+        path = tmp_path / "cal.json"
+        data = config_to_dict(model, losses)
+        data["converter"]["length_mm"] = "9.6"
+        path.write_text(json.dumps(data))
         rc = cli.main(["run", "--scenario", "efficiency_sweep", "--config", str(path),
                        "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_CONFIG
@@ -215,6 +257,26 @@ class TestScenarios:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario("x", "bogus_kind")
+
+    def test_unknown_params_rejected(self, tmp_path):
+        data = {"schema_version": 1, "output_dir": str(tmp_path / "o"),
+                "scenarios": [{"name": "snr", "kind": "snr_sweep",
+                               "params": {"acquisiton_s": 5.0, "powers_mw": [100],
+                                          "etalons": False}}]}
+        with pytest.raises(ScenarioError, match=r"'snr'.*\['acquisiton_s', 'etalons'\]"):
+            manifest_from_dict(data)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(data))
+        assert cli.main(["run", "--manifest", str(mpath)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_params_must_be_an_object(self):
+        with pytest.raises(ScenarioError, match="params"):
+            Scenario("fd", "fock_demo", params=[("n_max", 3)])
+
+    @pytest.mark.parametrize("kind", scenarios.KINDS)
+    def test_param_keys_are_the_keys_compute_reads(self, kind):
+        assert set(PARAM_KEYS[kind]) == _params_keys_read(scenarios._COMPUTE[kind])
 
     def test_duplicate_names_rejected(self):
         from qfclab.scenarios import RunManifest
