@@ -6,21 +6,22 @@ in ``acceptance.py`` (``_oracle_outer``/``_oracle_edges`` for the pair
 histogram, ``_oracle_dead_time`` for the dead-time filter) and checked by
 the acceptance battery and the property tests.
 
-`pair_histogram` runs one window search per tag: a searchsorted for the
-first partner, and only for the tags that have one, a few stepping rounds
-for the end of the window, with a second searchsorted for the rare tags
-whose window holds more. The auto-correlation at tau_min == 0 needs no
-search at all: tag i's window starts at index i + 1, and the ordered pairs
-j < i of equal timestamps, all at tau = 0, are added to bin 0 as the sum of
-L(L+1)/2 over the runs of L consecutive ties. The first stream is processed
-in chunks of PAIR_CHUNK tags, so the per-tag temporaries are sized by the
-chunk, not by the stream.
+`pair_histogram` runs one searchsorted per tag for the first partner of its
+window and bins the pairs while it steps through the window: a tag whose
+window is empty drops out in the first round, and only the rare tags whose
+window holds more than a few partners search for its end and gather the
+rest. The auto-correlation at tau_min == 0 needs no search at all: tag i's
+window starts at index i + 1, and the ordered pairs j < i of equal
+timestamps, all at tau = 0, are added to bin 0 as the sum of L(L+1)/2 over
+the runs of L consecutive ties. The first stream is processed in chunks of
+PAIR_CHUNK tags, so the per-tag temporaries are sized by the chunk, not by
+the stream.
 """
 
 import numpy as np
 
 PAIR_CHUNK = 1 << 18    # tags of a per pass of pair_histogram: bounds its temporaries
-_STEP_ROUNDS = 4        # stepping rounds for hi before the searchsorted fallback
+_STEP_ROUNDS = 4        # stepping rounds after the first partner, before the fallback
 
 
 def is_sorted(tags):
@@ -46,11 +47,13 @@ def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
 
     a and b are sorted int64 ps and the window is a whole number of bins.
     The tags of a go in chunks of PAIR_CHUNK. Per chunk, one searchsorted
-    gives lo, the first b at or after a + tau_min, and only the tags with
-    b[lo] < a + tau_max go on. Their hi, the first b at or after
-    a + tau_max, comes from stepping from lo + 1 for _STEP_ROUNDS rounds
-    and a searchsorted for the few tags whose window holds more. The pairs
-    are then gathered by their flat index into b and binned by bincount.
+    gives lo, the first b at or after a + tau_min. The pairs are binned by
+    bincount while each window is stepped: round 0 bins the pair (i, lo)
+    of the tags with b[lo] < a + tau_max and drops the rest, and each of
+    the _STEP_ROUNDS rounds after it moves lo on by one and bins the pairs
+    still inside the window. Only the tags still inside it after the last
+    round, those with _STEP_ROUNDS + 1 partners or more, search for the
+    window's end and gather their remaining pairs by flat index into b.
 
     exclude_self skips the pairs with i == j and needs ``b is a`` and
     tau_min >= 0; anything else raises ValueError. For tau_min > 0 no
@@ -60,48 +63,35 @@ def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     """
     if exclude_self and (b is not a or tau_min < 0):
         raise ValueError("exclude_self needs b to be a and tau_min >= 0")
-    tau_min, tau_max = np.int64(tau_min), np.int64(tau_max)
+    tau_min, width = np.int64(tau_min), np.int64(tau_max) - np.int64(tau_min)
     bin_width = np.int64(bin_width)
-    nbins = int((tau_max - tau_min) // bin_width)
+    nbins = int(width // bin_width)
     counts = np.zeros(nbins, dtype=np.int64)
     if len(a) == 0 or len(b) == 0:
         return counts
     after_self = exclude_self and tau_min == 0
     if after_self:
         counts[0] += _tie_pairs(a)
-    last = len(b) - 1
     for start in range(0, len(a), PAIR_CHUNK):
-        aa = a[start:start + PAIR_CHUNK]
+        t = a[start:start + PAIR_CHUNK] + tau_min
         if after_self:
-            lo = np.arange(start + 1, start + 1 + len(aa))
+            lo = np.arange(start + 1, start + 1 + len(t))
         else:
-            first = aa + tau_min
             # every lo of the chunk lies in [off, stop]: search that span only
-            off, stop = np.searchsorted(b, first[[0, -1]], side="left")
-            lo = np.searchsorted(b[off:stop], first, side="left")
+            off, stop = np.searchsorted(b, t[[0, -1]], side="left")
+            lo = np.searchsorted(b[off:stop], t, side="left")
             lo += off
-        # lo never decreases, so the windows that start past b are a suffix
-        inside = int(np.searchsorted(lo, len(b)))
-        live = np.flatnonzero(b[lo[:inside]] < aa[:inside] + tau_max)
-        if len(live) == 0:
-            continue
-        lo, t = lo[live], aa[live]
-        end = t + tau_max
-        hi = lo + 1
-        open_ = np.arange(len(live))
-        for _ in range(_STEP_ROUNDS):
-            h = hi[open_]
-            open_ = open_[(h <= last) & (b[np.minimum(h, last)] < end[open_])]
-            if len(open_) == 0:
-                break
-            hi[open_] += 1
-        else:
-            hi[open_] = np.searchsorted(b, end[open_], side="left")
-        n = hi - lo
+        for _ in range(_STEP_ROUNDS + 1):
+            # lo never decreases, so the windows that have run past b are a suffix
+            inside = int(np.searchsorted(lo, len(b)))
+            rel = b[lo[:inside]] - t[:inside]
+            live = np.flatnonzero(rel < width)
+            counts += np.bincount(rel[live] // bin_width, minlength=nbins)
+            lo, t = lo[live] + 1, t[live]
+        n = np.searchsorted(b, t + width, side="left") - lo
         starts = np.cumsum(n) - n
-        j = np.arange(int(starts[-1] + n[-1])) + np.repeat(lo - starts, n)
-        tau = b[j] - np.repeat(t, n)
-        counts += np.bincount((tau - tau_min) // bin_width, minlength=nbins)
+        j = np.arange(int(n.sum())) + np.repeat(lo - starts, n)
+        counts += np.bincount((b[j] - np.repeat(t, n)) // bin_width, minlength=nbins)
     return counts
 
 

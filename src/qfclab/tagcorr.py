@@ -3,11 +3,12 @@
 The correlator counts ordered pairs (t_a, t_b) with tau = t_b - t_a inside a
 half-open window [tau_min, tau_max) with `_kernels.pair_histogram`: one
 searchsorted per tag of the first stream finds the start of its window in
-the sorted second stream, the tags with an empty window drop out there, and
-the window ends of the rest are found by a few stepping rounds before a
-second search. The auto-correlation does no search: a tag's window starts
-at the next tag, and the pairs of equal timestamps, all at tau = 0, are
-counted in closed form. The kernel takes the first stream in chunks of
+the sorted second stream, and the pairs are binned while the window is
+stepped from there, so the tags with an empty window drop out in the first
+round; only tags with more than a few partners search for the window's end.
+The auto-correlation does no search: a tag's window starts at the next tag,
+and the pairs of equal timestamps, all at tau = 0, are counted in closed
+form. The kernel takes the first stream in chunks of
 `_kernels.PAIR_CHUNK` tags, so its temporaries stay bounded.
 Bins are half-open [lower, upper), tau sign is t_b - t_a, and histograms are
 never symmetrized.

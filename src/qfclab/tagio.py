@@ -6,7 +6,10 @@ Binary (.qtag), little-endian:
     channel u16
     duration_ps u64
     count   u64
-    count * u64 timestamps in ps
+    count * u64 timestamps in ps, and nothing after them
+
+A payload that is not exactly count * 8 bytes, short or long, raises
+TagFormatError before anything is read.
 
 CSV: two columns (channel, timestamp_ps) after a single comment line
 carrying the duration and the channel ids (``channels=0,1``), so
@@ -16,6 +19,7 @@ A CSV file may hold several channels; rows must be grouped per channel and
 time-ordered within each group.
 """
 
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -53,10 +57,14 @@ def read_qtag(path):
             raise TagFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise TagFormatError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(fh.read(8 * count), dtype="<u8")
-        if len(data) != count:
-            raise TagFormatError(f"{path}: expected {count} tags, found {len(data)}")
-    return TagStream(channel, data.astype(np.int64), duration_ps / _PS,
+        # checked before reading, so a corrupt count never sizes an allocation
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * count:
+            raise TagFormatError(f"{path}: expected {count} tags ({8 * count} bytes), "
+                                 f"found {payload} bytes")
+        # u64 read as i64 wraps values at or above 2**63 as astype(np.int64) does
+        tags = np.fromfile(fh, dtype="<i8", count=count)
+    return TagStream(channel, tags, duration_ps / _PS,
                      meta={"source": str(path)})
 
 
@@ -74,10 +82,10 @@ def write_csv(path, streams):
         fh.write(f"# qtag-csv v{VERSION} duration_ps={duration_ps} channels={channels}\n")
         fh.write("channel,timestamp_ps\n")
         for s in streams:
-            ch = s.channel
+            head = f"{s.channel},"
             for i in range(0, len(s.tags), _CSV_ROWS_PER_WRITE):
                 rows = s.tags[i:i + _CSV_ROWS_PER_WRITE].tolist()
-                fh.write("".join(f"{ch},{t}\n" for t in rows))
+                fh.write(head + ("\n" + head).join(map(str, rows)) + "\n")
     return Path(path)
 
 

@@ -1,6 +1,7 @@
 """Properties of the vectorized kernels against their slow oracles: the
 dead-time filter against the sequential one, the pair histogram against the
-all-pairs outer difference."""
+all-pairs outer difference, also with its stepping rounds and chunks cut
+short so that every round boundary and chunk edge is crossed."""
 
 import numpy as np
 import pytest
@@ -153,6 +154,45 @@ def test_pair_histogram_across_chunk_boundaries(case, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "PAIR_CHUNK", chunk)
         assert np.array_equal(pair_histogram(*case), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIR_CASES, st.sampled_from([0, 1, 2]), st.integers(1, 7))
+def test_pair_histogram_fallback_after_every_round(case, rounds, chunk):
+    # with few stepping rounds, windows of 1, 2 or 3 partners reach the
+    # searchsorted-and-gather fallback, on chunks of a few tags
+    expected = _oracle_outer(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_STEP_ROUNDS", rounds)
+        mp.setattr(_kernels, "PAIR_CHUNK", chunk)
+        assert np.array_equal(pair_histogram(*case), expected)
+
+
+# windows that run past the end of b while they are stepped, each with the
+# number of pairs it holds: in the first, a = 3 leaves b after its 2 partners
+# and a = 0 after its 4; in the auto-correlations, tag i leaves after
+# len(a) - 1 - i partners at most (the 6 + 1 are 6 stepped pairs and 1 tie)
+_PAST_END = [
+    (np.array([0, 3]), np.array([1, 2, 4, 5]), 0, 10, 1, False, 6),
+    (np.array([-9, 0, 3]), np.array([1, 2, 4, 5]), -2, 6, 2, False, 8),
+    (np.array([0, 1, 1, 3]), None, 0, 10, 1, True, 6 + 1),
+    (np.array([0, 1, 2, 3, 3]), None, 1, 10, 3, True, 9),
+]
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("a, b, tau_min, tau_max, bin_width, exclude_self, pairs",
+                         _PAST_END)
+def test_pair_histogram_window_runs_past_b(a, b, tau_min, tau_max, bin_width,
+                                            exclude_self, pairs, rounds):
+    a = a.astype(np.int64)
+    b = a if b is None else b.astype(np.int64)
+    case = (a, b, tau_min, tau_max, bin_width, exclude_self)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_STEP_ROUNDS", rounds)
+        counts = pair_histogram(*case)
+    assert counts.sum() == pairs
+    assert np.array_equal(counts, _oracle_outer(*case))
 
 
 def test_pair_histogram_window_edges():

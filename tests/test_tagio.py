@@ -87,6 +87,27 @@ def test_truncated_payload(tmp_path):
         read_qtag(path)
 
 
+@pytest.mark.parametrize("extra", [b"\x00" * 8, b"\x01\x02\x03"])
+def test_trailing_payload_bytes(tmp_path, extra):
+    # a whole extra tag or a few stray bytes: the header's count no longer
+    # describes the file, so it is rejected rather than read in part
+    s = random_stream(5, n=100)
+    path = tmp_path / "long.qtag"
+    write_qtag(path, s)
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(TagFormatError, match=f"expected 100 tags \\(800 bytes\\), "
+                                             f"found {800 + len(extra)} bytes"):
+        read_qtag(path)
+
+
+def test_corrupt_count_is_rejected_before_reading(tmp_path):
+    # a count of 2**60 tags would size an 8 EiB read if it were trusted
+    path = tmp_path / "huge.qtag"
+    path.write_bytes(struct.pack("<4sHHQQ", b"QTAG", 1, 0, 10, 2 ** 60) + b"\x00" * 16)
+    with pytest.raises(TagFormatError, match="found 16 bytes"):
+        read_qtag(path)
+
+
 def test_bad_csv_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,chan\n1,2\n")
