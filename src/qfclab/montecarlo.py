@@ -12,12 +12,17 @@ Poisson streams merged in afterwards. Per-tag Gaussian timing jitter and a
 non-paralyzable detector dead time are applied last.
 
 Determinism: the acquisition is generated in fixed 1 s slices, each seeded
-by SeedSequence(seed, slice_index, stream_index). Slices can therefore be
-produced in any order (or concurrently) with bitwise-identical results;
-`generate_streams` itself runs them serially.
+by SeedSequence(seed, slice_index, stream_index). `generate_streams` runs
+the slices concurrently on a thread pool, one contiguous block of slices
+per worker and at most one worker per CPU this process may use. Each slice
+comes back rounded and sorted in int64 per channel, and the slices are
+joined in slice order, so the streams are bitwise identical for any number
+of workers. The workers only sample, round and sort, where numpy releases
+the GIL; the rates and the dead-time filter run on the calling thread.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,6 +79,13 @@ class TagStream:
         return len(self.tags) / self.duration_s
 
 
+def _require_finite(config, *names):
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Detection-path description for one channel."""
@@ -86,6 +98,8 @@ class ChannelConfig:
     luminescence_hz_per_mw: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "jitter_fwhm_ps", "dead_time_ns", "dark_hz",
+                        "luminescence_hz_per_mw")
         if self.jitter_fwhm_ps < 0 or self.dead_time_ns < 0:
             raise ValueError("jitter and dead time must be >= 0")
         if self.dark_hz < 0 or self.luminescence_hz_per_mw < 0:
@@ -103,6 +117,7 @@ class ScenarioConfig:
     input_flux_hz: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "pump_power_mw", "duration_s", "input_flux_hz")
         if self.duration_s < 0:
             raise ValueError("duration must be >= 0")
         if self.pump_power_mw < 0 or self.input_flux_hz < 0:
@@ -203,59 +218,92 @@ _BRANCH_CHANNELS = {
 }
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slice_tags(scenario, rates, k):
+    """Slice k of the acquisition: {channel: sorted int64 ps tags}.
+
+    Tags are jittered and rounded but not yet cut to the acquisition, so a
+    tag jittered across either end of the slice is kept.
+    """
+    t0 = k * _SLICE_S
+    t1 = min((k + 1) * _SLICE_S, scenario.duration_s)
+    parts = {name: [] for name in scenario.channels}
+    for si, stream in enumerate(_STREAM_ORDER):
+        if stream.startswith("jitter"):
+            continue
+        rate = rates.get(stream, 0.0)
+        channels = [c for c in _BRANCH_CHANNELS[stream] if c in scenario.channels]
+        if rate <= 0 or not channels:
+            continue
+        times = _poisson_times(_slice_rng(scenario.seed, k, si), rate, t0, t1)
+        for c in channels:
+            parts[c].append(times)
+    out = {}
+    for c, cfg in scenario.channels.items():
+        if not parts[c]:
+            continue
+        raw = np.concatenate(parts[c])          # a new array: safe to update in place
+        if cfg.jitter_fwhm_ps > 0:
+            rng = _slice_rng(scenario.seed, k, _STREAM_ORDER.index(f"jitter_{c}"))
+            raw += rng.normal(0.0, cfg.jitter_fwhm_ps / 2.3548200450309493, len(raw))
+        # sorted as floats (faster here than as int64), then rounded: rint
+        # keeps the order, so the int64 tags come out sorted
+        raw.sort()
+        np.rint(raw, out=raw)
+        out[c] = raw.astype(np.int64)
+    return out
+
+
+def _slice_block(scenario, rates, ks):
+    return [_slice_tags(scenario, rates, k) for k in ks]
+
+
 def generate_streams(scenario, model):
     """Simulate one acquisition; returns {channel_name: TagStream}.
 
     Deterministic for a fixed seed: identical streams across runs and
-    platforms (numpy Generator bit streams are specified).
+    platforms (numpy Generator bit streams are specified), whatever the
+    number of worker threads.
     """
+    # imported here, not with the module: a process that never generates
+    # streams is spared its ~0.6 MiB (logging and threading come with it)
+    from concurrent.futures import ThreadPoolExecutor
+
     rates = branch_rates(scenario, model)
     for name, rate in rates.items():
         if rate * scenario.duration_s > _MAX_EXPECTED:
             raise ConfigurationError(
                 f"expected event count for {name} exceeds 2^62; reduce rate or duration")
 
+    # one contiguous block of slices per worker: futures in flight <= workers
     n_slices = max(1, math.ceil(scenario.duration_s / _SLICE_S))
-    per_channel = {name: [] for name in scenario.channels}
-
-    for k in range(n_slices):
-        t0 = k * _SLICE_S
-        t1 = min((k + 1) * _SLICE_S, scenario.duration_s)
-        slice_tags = {name: [] for name in scenario.channels}
-        for si, stream in enumerate(_STREAM_ORDER):
-            if stream.startswith("jitter"):
-                continue
-            rate = rates.get(stream, 0.0)
-            channels = [c for c in _BRANCH_CHANNELS[stream] if c in scenario.channels]
-            if rate <= 0 or not channels:
-                continue
-            times = _poisson_times(_slice_rng(scenario.seed, k, si), rate, t0, t1)
-            for c in channels:
-                slice_tags[c].append(times)
-        for c in scenario.channels:
-            if not slice_tags[c]:
-                continue
-            raw = np.concatenate(slice_tags[c])
-            jit_fwhm = scenario.channels[c].jitter_fwhm_ps
-            if jit_fwhm > 0:
-                si = _STREAM_ORDER.index(f"jitter_{c}")
-                rng = _slice_rng(scenario.seed, k, si)
-                raw = raw + rng.normal(0.0, jit_fwhm / 2.3548200450309493, len(raw))
-            per_channel[c].append(raw)
+    workers = min(n_slices, _usable_cpus())
+    bounds = [j * n_slices // workers for j in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_slice_block, scenario, rates, range(lo, hi))
+                   for lo, hi in zip(bounds, bounds[1:])]
+        slices = [s for f in futures for s in f.result()]
 
     duration_ps = round(scenario.duration_s * _PS)
     out = {}
     for c, cfg in scenario.channels.items():
-        if per_channel[c]:
-            t = np.concatenate(per_channel[c])
-        else:
-            t = np.empty(0)
-        t = np.sort(np.rint(t)).astype(np.int64)
-        t = t[(t >= 0) & (t < duration_ps)]
+        parts = [s.pop(c) for s in slices if c in s]
+        t = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        del parts
+        # only a tag jittered across a slice junction leaves t unsorted
+        if not is_sorted(t):
+            t.sort(kind="stable")
+        lo, hi = np.searchsorted(t, (0, duration_ps))
+        t = t[lo:hi]
         if cfg.dead_time_ns > 0 and len(t):
             t = t[dead_time_mask(t, int(round(cfg.dead_time_ns * 1e3)))]
         out[c] = TagStream(CHANNEL_IDS[c], t, scenario.duration_s,
                            meta={"channel_name": c, "pump_power_mw": scenario.pump_power_mw,
                                  "seed": scenario.seed})
     return out
-

@@ -12,9 +12,12 @@ A payload that is not exactly count * 8 bytes, short or long, raises
 TagFormatError before anything is read.
 
 CSV: two columns (channel, timestamp_ps) after a single comment line
-carrying the duration and the channel ids (``channels=0,1``), so
+carrying the longest duration, the channel ids (``channels=0,1``) and each
+listed channel's own duration (``durations_ps=1000,2000``), so
 binary -> csv -> binary round-trips bit-exactly, also for a channel
-without tags. Files whose comment line has no channel ids still read.
+without tags and for channels of different durations. Files whose comment
+line has no channel ids or no per-channel durations still read; their
+channels take the one ``duration_ps``.
 A CSV file may hold several channels; rows must be grouped per channel and
 time-ordered within each group.
 """
@@ -71,15 +74,18 @@ def read_qtag(path):
 def write_csv(path, streams):
     """Write one or more streams as (channel, timestamp_ps) rows.
 
-    The comment line lists every stream's channel, so a channel without
-    tags survives the round trip.
+    The comment line lists every stream's channel and duration, so a
+    channel without tags, and each stream's duration, survive the round
+    trip.
     """
     if isinstance(streams, TagStream):
         streams = [streams]
     duration_ps = max(s.duration_ps for s in streams)
     channels = ",".join(str(s.channel) for s in streams)
+    durations = ",".join(str(s.duration_ps) for s in streams)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# qtag-csv v{VERSION} duration_ps={duration_ps} channels={channels}\n")
+        fh.write(f"# qtag-csv v{VERSION} duration_ps={duration_ps} channels={channels} "
+                 f"durations_ps={durations}\n")
         fh.write("channel,timestamp_ps\n")
         for s in streams:
             head = f"{s.channel},"
@@ -93,11 +99,13 @@ def read_csv(path):
     """Read a tag CSV back into a list of TagStreams (one per channel).
 
     Channels listed on the comment line come first, in that order, each
-    with its tags or none; channels found only in the rows follow in file
-    order. A row that is not two integers raises ValueError.
+    with its tags or none and its own duration when the line gives one;
+    channels found only in the rows follow in file order. A row that is not
+    two integers raises ValueError.
     """
     duration_ps = None
     listed = []
+    durations = None
     with open(path) as fh:
         first = fh.readline()
         if first.startswith("#"):
@@ -107,6 +115,8 @@ def read_csv(path):
                     duration_ps = int(value)
                 elif key == "channels":
                     listed = [int(c) for c in value.split(",") if c]
+                elif key == "durations_ps":
+                    durations = [int(d) for d in value.split(",") if d]
             header = fh.readline()
         else:
             header = first
@@ -125,10 +135,16 @@ def read_csv(path):
     channels, tags = rows[:, 0], rows[:, 1]
     if duration_ps is None:
         duration_ps = int(tags.max()) + 1 if len(tags) else _PS
+    own = {}
+    if durations is not None:
+        if len(durations) != len(listed):
+            raise TagFormatError(f"{path}: {len(durations)} durations for "
+                                 f"{len(listed)} channels")
+        own = dict(zip(listed, durations))
     _, first_row = np.unique(channels, return_index=True)
     in_rows = channels[np.sort(first_row)].tolist()   # file order
     streams = []
     for ch in dict.fromkeys(listed + in_rows):
-        streams.append(TagStream(ch, tags[channels == ch], duration_ps / _PS,
+        streams.append(TagStream(ch, tags[channels == ch], own.get(ch, duration_ps) / _PS,
                                  meta={"source": str(path)}))
     return streams

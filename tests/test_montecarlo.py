@@ -1,7 +1,12 @@
+import concurrent.futures
+import math
+import threading
+
 import numpy as np
 import pytest
 
 from qfclab import montecarlo
+from qfclab._kernels import dead_time_mask, is_sorted
 from qfclab.config import bundled_losses, bundled_model
 from qfclab.montecarlo import (ChannelConfig, ConfigurationError, ScenarioConfig,
                                TagStream, branch_rates, expected_rates,
@@ -182,3 +187,158 @@ class TestGeneration:
             pieces.append(tags[(tags >= lo) & (tags < hi)])
         assert np.array_equal(full, np.concatenate(pieces))
 
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("field", ["jitter_fwhm_ps", "dead_time_ns", "dark_hz",
+                                       "luminescence_hz_per_mw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_channel_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelConfig(losses=lossless_budget(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["pump_power_mw", "duration_s", "input_flux_hz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_scenario_field(self, field, value):
+        kwargs = dict(pump_power_mw=1.0, duration_s=1.0, seed=0, channels={})
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**kwargs)
+
+
+def serial_generate_streams(scenario, model):
+    """The serial generator that the threaded one replaced: every slice kept
+    as float64 on one thread, then per channel one global rint and sort,
+    a range mask and the dead-time filter."""
+    rates = branch_rates(scenario, model)
+    n_slices = max(1, math.ceil(scenario.duration_s / montecarlo._SLICE_S))
+    per_channel = {name: [] for name in scenario.channels}
+    for k in range(n_slices):
+        t0 = k * montecarlo._SLICE_S
+        t1 = min((k + 1) * montecarlo._SLICE_S, scenario.duration_s)
+        slice_tags = {name: [] for name in scenario.channels}
+        for si, stream in enumerate(montecarlo._STREAM_ORDER):
+            if stream.startswith("jitter"):
+                continue
+            rate = rates.get(stream, 0.0)
+            channels = [c for c in montecarlo._BRANCH_CHANNELS[stream]
+                        if c in scenario.channels]
+            if rate <= 0 or not channels:
+                continue
+            times = montecarlo._poisson_times(montecarlo._slice_rng(scenario.seed, k, si),
+                                              rate, t0, t1)
+            for c in channels:
+                slice_tags[c].append(times)
+        for c in scenario.channels:
+            if not slice_tags[c]:
+                continue
+            raw = np.concatenate(slice_tags[c])
+            jit_fwhm = scenario.channels[c].jitter_fwhm_ps
+            if jit_fwhm > 0:
+                si = montecarlo._STREAM_ORDER.index(f"jitter_{c}")
+                rng = montecarlo._slice_rng(scenario.seed, k, si)
+                raw = raw + rng.normal(0.0, jit_fwhm / 2.3548200450309493, len(raw))
+            per_channel[c].append(raw)
+    duration_ps = round(scenario.duration_s * 1e12)
+    out = {}
+    for c, cfg in scenario.channels.items():
+        t = np.concatenate(per_channel[c]) if per_channel[c] else np.empty(0)
+        t = np.sort(np.rint(t)).astype(np.int64)
+        t = t[(t >= 0) & (t < duration_ps)]
+        if cfg.dead_time_ns > 0 and len(t):
+            t = t[dead_time_mask(t, int(round(cfg.dead_time_ns * 1e3)))]
+        out[c] = t
+    return out
+
+
+def pair_scenario(duration_s, seed, pump_power_mw=10.0, **channel_changes):
+    from dataclasses import replace
+    from qfclab.scenarios import idler_channel, output_channel, signal_channel
+    model = bundled_model()
+    channels = {"signal": signal_channel(model),
+                "idler": idler_channel(model),
+                "output": output_channel(model, bundled_losses())}
+    channels = {k: replace(v, **channel_changes) for k, v in channels.items()}
+    return ScenarioConfig(pump_power_mw=pump_power_mw, duration_s=duration_s, seed=seed,
+                          channels=channels)
+
+
+def assert_matches_serial(scenario, model):
+    got = generate_streams(scenario, model)
+    want = serial_generate_streams(scenario, model)
+    assert list(got) == list(want)
+    for c in want:
+        assert got[c].tags.dtype == np.int64
+        assert np.array_equal(got[c].tags, want[c]), c
+    return got
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestSerialOracle:
+    @pytest.mark.parametrize("duration_s", [2.5, 0.3, 3.0])
+    @pytest.mark.parametrize("seed", [1, 2, 12345])
+    def test_pair_scenario(self, model, workers, duration_s, seed):
+        streams = assert_matches_serial(pair_scenario(duration_s, seed), model)
+        assert all(len(s) > 100 for s in streams.values())
+
+    def test_no_jitter_no_dead_time_and_a_channel_without_branch(self, model, workers):
+        # pump off and no dark counts on the idler: no stream feeds it
+        ch = dict(losses=lossless_budget(), jitter_fwhm_ps=0.0, dead_time_ns=0.0)
+        sc = ScenarioConfig(pump_power_mw=0.0, duration_s=2.5, seed=4,
+                            channels={"signal": ChannelConfig(dark_hz=30_000.0, **ch),
+                                      "idler": ChannelConfig(**ch)})
+        streams = assert_matches_serial(sc, model)
+        assert len(streams["signal"]) > 1000 and len(streams["idler"]) == 0
+
+    @pytest.mark.parametrize("dead_time_ns", [0.0, 50.0])
+    def test_jitter_across_slice_junctions(self, model, workers, dead_time_ns):
+        # a 0.1 s jitter moves tags across every slice junction and out of
+        # [0, duration): the joined slices are unsorted, so the generator
+        # takes its re-sort path, and the cut drops tags at both ends
+        sc = pair_scenario(2.5, 9, jitter_fwhm_ps=1e11, dead_time_ns=dead_time_ns)
+        rates = branch_rates(sc, model)
+        slices = [montecarlo._slice_tags(sc, rates, k) for k in range(3)]
+        for c in sc.channels:
+            joined = np.concatenate([s[c] for s in slices])
+            assert not is_sorted(joined), c
+            assert joined.min() < 0 and joined.max() >= round(sc.duration_s * 1e12)
+        assert_matches_serial(sc, model)
+
+
+def test_rates_and_dead_time_stay_on_calling_thread(model, monkeypatch):
+    calls = []
+
+    def on_calling_thread(fn):
+        def check(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread()
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return check
+
+    monkeypatch.setattr(montecarlo, "dead_time_mask",
+                        on_calling_thread(montecarlo.dead_time_mask))
+    monkeypatch.setattr(montecarlo, "band_fraction",
+                        on_calling_thread(montecarlo.band_fraction))
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers, self.submitted = max_workers, 0
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    streams = generate_streams(pair_scenario(50.0, 2, pump_power_mw=0.01), model)
+    assert sum(len(s) for s in streams.values()) > 1000
+    assert {"dead_time_mask", "band_fraction"} <= set(calls)
+    (pool,) = pools
+    assert pool.workers == 3 and pool.submitted == 3

@@ -123,7 +123,33 @@ def test_csv_keeps_channels_without_tags(tmp_path):
     assert [s.channel for s in back] == [3, 0, 7]
     assert [len(s) for s in back] == [0, 10, 0]
     assert np.array_equal(back[1].tags, full.tags)
-    assert all(s.duration_s == 3.0 for s in back)
+    assert [s.duration_s for s in back] == [2.0, 3.0, 1.0]
+
+
+def test_csv_per_channel_durations(tmp_path):
+    # streams of 1 s and 2 s read back as 1 s and 2 s, not as two of 2 s
+    path = tmp_path / "durations.csv"
+    write_csv(path, [random_stream(8, n=10, channel=0, duration_s=1.0),
+                     random_stream(9, n=10, channel=1, duration_s=2.0)])
+    assert path.read_text().splitlines()[0] == (
+        "# qtag-csv v1 duration_ps=2000000000000 channels=0,1 "
+        "durations_ps=1000000000000,2000000000000")
+    assert [s.duration_ps for s in read_csv(path)] == [10 ** 12, 2 * 10 ** 12]
+
+
+def test_csv_without_per_channel_durations_reads_as_before(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("# qtag-csv v1 duration_ps=5000 channels=0,1\n"
+                    "channel,timestamp_ps\n0,3\n1,4999\n")
+    assert [s.duration_ps for s in read_csv(path)] == [5000, 5000]
+
+
+def test_csv_durations_must_match_channels(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# qtag-csv v1 duration_ps=5000 channels=0,1 durations_ps=5000\n"
+                    "channel,timestamp_ps\n0,3\n")
+    with pytest.raises(TagFormatError, match="1 durations for 2 channels"):
+        read_csv(path)
 
 
 def test_csv_without_channel_ids_reads_in_file_order(tmp_path):
@@ -196,11 +222,10 @@ def test_multi_channel_csv_round_trip(tmp_path_factory, streams):
     write_csv(path, streams)
     assert path.read_text().split("\n", 2)[2] == _oracle_rows(streams)
     back = read_csv(path)
-    duration_ps = max(round(s.duration_s * 1e12) for s in streams)
     assert [s.channel for s in back] == [s.channel for s in streams]
     for got, sent in zip(back, streams):
         assert np.array_equal(got.tags, sent.tags)
-        assert round(got.duration_s * 1e12) == duration_ps
+        assert got.duration_ps == sent.duration_ps
 
 
 @pytest.mark.xfail(strict=True, reason="the float duration_s of a TagStream cannot "
