@@ -16,12 +16,54 @@ timestamps, all at tau = 0, are added to bin 0 as the sum of L(L+1)/2 over
 the runs of L consecutive ties. The first stream is processed in chunks of
 PAIR_CHUNK tags, so the per-tag temporaries are sized by the chunk, not by
 the stream.
+
+Both kernels run on one block pool, `_map_blocks`: a thread pool of at most
+one worker per CPU this process may use, each worker taking one contiguous
+block of the work, where numpy releases the GIL. `pair_histogram` hands each
+worker a block of chunks with its own int64 counts; `dead_time_mask` cuts
+the stream at tags that are always kept and masks each part on its own. The
+results are exact integers and masks, so they do not depend on the number
+of workers. The public calls stay on the calling thread and the workers run
+private functions only; called off the main thread, the pool runs its one
+block serially, so pools never nest.
 """
+
+import os
+import threading
 
 import numpy as np
 
-PAIR_CHUNK = 1 << 18    # tags of a per pass of pair_histogram: bounds its temporaries
-_STEP_ROUNDS = 4        # stepping rounds after the first partner, before the fallback
+PAIR_CHUNK = 1 << 16        # tags of `a` per pair_histogram chunk: bounds its temporaries
+_STEP_ROUNDS = 4            # stepping rounds after the first partner, before the fallback
+_DEAD_TIME_PART = 1 << 18   # fewest tags in a dead_time_mask part: shorter runs stay serial
+_GAP_CHUNK = 1 << 16        # gaps per pass of a dead_time_mask part: bounds its temporaries
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(fn, n):
+    """[fn(lo, hi)] over min(n, _usable_cpus()) contiguous blocks of range(n),
+    in block order, each block on a worker of one thread pool.
+
+    With one worker, or called off the main thread, it returns [fn(0, n)]
+    and builds no pool, so pools never nest.
+    """
+    workers = min(n, _usable_cpus())
+    if workers <= 1 or threading.current_thread() is not threading.main_thread():
+        return [fn(0, n)]
+    # imported here, not with the module: a process that never fills a pool
+    # is spared its ~0.6 MiB (logging comes with it)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [j * n // workers for j in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return [f.result() for f in futures]
 
 
 def is_sorted(tags):
@@ -46,40 +88,59 @@ def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     [tau_min, tau_max), binned as (tau - tau_min) // bin_width.
 
     a and b are sorted int64 ps and the window is a whole number of bins.
-    The tags of a go in chunks of PAIR_CHUNK. Per chunk, one searchsorted
-    gives lo, the first b at or after a + tau_min. The pairs are binned by
-    bincount while each window is stepped: round 0 bins the pair (i, lo)
-    of the tags with b[lo] < a + tau_max and drops the rest, and each of
-    the _STEP_ROUNDS rounds after it moves lo on by one and bins the pairs
-    still inside the window. Only the tags still inside it after the last
-    round, those with _STEP_ROUNDS + 1 partners or more, search for the
-    window's end and gather their remaining pairs by flat index into b.
+    The tags of a go in chunks of PAIR_CHUNK, and the chunks in contiguous
+    blocks on the pool (`_map_blocks`); each block keeps its own int64
+    counts, and the blocks' counts are summed in block order. Per chunk,
+    one searchsorted gives lo, the first b at or after a + tau_min. The
+    pairs are binned by bincount while each window is stepped: round 0 bins
+    the pair (i, lo) of the tags with b[lo] < a + tau_max and drops the
+    rest, and each of the _STEP_ROUNDS rounds after it moves lo on by one
+    and bins the pairs still inside the window. Only the tags still inside
+    it after the last round, those with _STEP_ROUNDS + 1 partners or more,
+    search for the window's end and gather their remaining pairs by flat
+    index into b.
 
     exclude_self skips the pairs with i == j and needs ``b is a`` and
     tau_min >= 0; anything else raises ValueError. For tau_min > 0 no
     self-pair is in the window. For tau_min == 0 the window of tag i starts
     at index i + 1 without a search, and the ordered tie pairs j < i, all at
-    tau = 0, go to bin 0 in closed form (`_tie_pairs`).
+    tau = 0, go to bin 0 in closed form (`_tie_pairs`, on the calling
+    thread).
     """
     if exclude_self and (b is not a or tau_min < 0):
         raise ValueError("exclude_self needs b to be a and tau_min >= 0")
     tau_min, width = np.int64(tau_min), np.int64(tau_max) - np.int64(tau_min)
     bin_width = np.int64(bin_width)
-    nbins = int(width // bin_width)
-    counts = np.zeros(nbins, dtype=np.int64)
+    counts = np.zeros(int(width // bin_width), dtype=np.int64)
     if len(a) == 0 or len(b) == 0:
         return counts
     after_self = exclude_self and tau_min == 0
     if after_self:
         counts[0] += _tie_pairs(a)
-    for start in range(0, len(a), PAIR_CHUNK):
-        t = a[start:start + PAIR_CHUNK] + tau_min
+    chunk = PAIR_CHUNK
+
+    def block(lo, hi):
+        return _pair_counts(a, b, lo * chunk, min(hi * chunk, len(a)), chunk,
+                            tau_min, width, bin_width, after_self)
+
+    for part in _map_blocks(block, -(-len(a) // chunk)):
+        counts += part
+    return counts
+
+
+def _pair_counts(a, b, start, stop, chunk, tau_min, width, bin_width, after_self):
+    """The pair counts of the tags a[start:stop], in chunks of ``chunk``
+    tags: one block of `pair_histogram`, which states the method."""
+    nbins = int(width // bin_width)
+    counts = np.zeros(nbins, dtype=np.int64)
+    for first in range(start, stop, chunk):
+        t = a[first:min(first + chunk, stop)] + tau_min
         if after_self:
-            lo = np.arange(start + 1, start + 1 + len(t))
+            lo = np.arange(first + 1, first + 1 + len(t))
         else:
-            # every lo of the chunk lies in [off, stop]: search that span only
-            off, stop = np.searchsorted(b, t[[0, -1]], side="left")
-            lo = np.searchsorted(b[off:stop], t, side="left")
+            # every lo of the chunk lies in [off, end]: search that span only
+            off, end = np.searchsorted(b, t[[0, -1]], side="left")
+            lo = np.searchsorted(b[off:end], t, side="left")
             lo += off
         for _ in range(_STEP_ROUNDS + 1):
             # lo never decreases, so the windows that have run past b are a suffix
@@ -109,21 +170,63 @@ def dead_time_mask(tags, dead_ps):
     leaves its cluster only by landing on the next cluster's first tag. The
     chains of all clusters are followed at once by pointer doubling:
     O(n log L) for a longest chain of L kept tags.
+
+    A stream of at least 2 * _DEAD_TIME_PART tags from -1 ps on is cut into
+    one part per worker, each cut at the first cluster start at or after an
+    even point, and the parts are masked on the pool (`_map_blocks`). A
+    part starts with a kept tag and its chains end at its last tag, so the
+    parts' masks join into the mask of the whole stream.
     """
     dead = int(dead_ps)
     keep = np.zeros(len(tags), dtype=np.bool_)
     first = int(np.searchsorted(tags, -1, side="left"))
     t = tags[first:]
     kept = keep[first:]
+    parts = min(_usable_cpus(), len(t) // _DEAD_TIME_PART)
+    cuts = [0]
+    for k in range(1, parts):
+        cut = _cluster_start(t, max(k * len(t) // parts, cuts[-1] + 1), dead)
+        if cut < len(t):
+            cuts.append(cut)
+    cuts.append(len(t))
+
+    def block(lo, hi):
+        i, j = cuts[lo], cuts[hi]
+        _dead_time_part(t[i:j], dead, kept[i:j])
+
+    _map_blocks(block, len(cuts) - 1)
+    return keep
+
+
+def _cluster_start(t, p, dead):
+    """The first index q >= p of t, p >= 1, whose gap t[q] - t[q-1] is at
+    least dead; len(t) if there is none. The scan grows by doubling, so it
+    reads little more than the gaps before q."""
+    step = 1024
+    while p < len(t):
+        gaps = np.flatnonzero(np.diff(t[p - 1:p + step]) >= dead)
+        if len(gaps):
+            return p + int(gaps[0])
+        p += step
+        step *= 2
+    return len(t)
+
+
+def _dead_time_part(t, dead, kept):
+    """Writes into ``kept`` the keep-mask of the tags t, whose first tag is
+    kept: one part of `dead_time_mask`, which states the method."""
     kept[:1] = True
-    kept[1:] = np.diff(t) >= dead
+    # gaps by chunks: on a worker thread, a part-sized int64 temporary would
+    # stay in the thread's malloc arena and raise the process's peak RSS
+    for i in range(1, len(t), _GAP_CHUNK):
+        np.greater_equal(np.diff(t[i - 1:i + _GAP_CHUNK]), dead, out=kept[i:i + _GAP_CHUNK])
     # a tag kept by its gap whose successor is also kept by its gap is a
     # cluster of one; only members of longer clusters need chain following
     lone = kept.copy()
     lone[:-1] &= kept[1:]
     idx = np.flatnonzero(~lone)
     if len(idx) == 0:
-        return keep
+        return
     # jump table over positions in idx, ending in a sink: a chain that leaves
     # its cluster lands on the next cluster's first tag, which is kept anyway
     sink = len(idx)
@@ -142,7 +245,6 @@ def dead_time_mask(tags, dead_ps):
         g = g[g]
         frontier = np.concatenate([frontier, reached])
         frontier = frontier[g[frontier] != sink]
-    return keep
 
 
 def backend_name():

@@ -296,8 +296,15 @@ def check_throughput(model, losses, printer=None):
     rng = np.random.default_rng(99)
     n = 10_000_000
     duration_s = 10.0
-    a = np.sort(rng.integers(0, int(duration_s * 1e12), n)).astype(np.int64)
-    b = np.sort(rng.integers(0, int(duration_s * 1e12), n)).astype(np.int64)
+    # drawn in order on this thread, then sorted in place on the block pool
+    a = rng.integers(0, int(duration_s * 1e12), n)
+    b = rng.integers(0, int(duration_s * 1e12), n)
+
+    def sort_block(lo, hi):
+        for tags in (a, b)[lo:hi]:
+            tags.sort()
+
+    _kernels._map_blocks(sort_block, 2)
     sa = TagStream(0, a, duration_s)
     sb = TagStream(1, b, duration_s)
     t0 = time.perf_counter()

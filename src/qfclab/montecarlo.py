@@ -13,21 +13,22 @@ non-paralyzable detector dead time are applied last.
 
 Determinism: the acquisition is generated in fixed 1 s slices, each seeded
 by SeedSequence(seed, slice_index, stream_index). `generate_streams` runs
-the slices concurrently on a thread pool, one contiguous block of slices
-per worker and at most one worker per CPU this process may use. Each slice
-comes back rounded and sorted in int64 per channel, and the slices are
-joined in slice order, so the streams are bitwise identical for any number
-of workers. The workers only sample, round and sort, where numpy releases
-the GIL; the rates and the dead-time filter run on the calling thread.
+the slices concurrently on the block pool of `_kernels._map_blocks`, one
+contiguous block of slices per worker and at most one worker per CPU this
+process may use. Each slice comes back rounded and sorted in int64 per
+channel, and the slices are joined in slice order, so the streams are
+bitwise identical for any number of workers. The slice workers only
+sample, round and sort, where numpy releases the GIL. The rates and the
+outer call of the dead-time filter run on the calling thread; the filter
+masks the parts of a long stream on the same pool, after the slices.
 """
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import dead_time_mask, is_sorted
+from ._kernels import _map_blocks, dead_time_mask, is_sorted
 from .spectral import _converted_input_rate, band_fraction, conversion_efficiency
 
 CHANNELS = ("signal", "idler", "output")
@@ -218,13 +219,6 @@ _BRANCH_CHANNELS = {
 }
 
 
-def _usable_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _slice_tags(scenario, rates, k):
     """Slice k of the acquisition: {channel: sorted int64 ps tags}.
 
@@ -260,10 +254,6 @@ def _slice_tags(scenario, rates, k):
     return out
 
 
-def _slice_block(scenario, rates, ks):
-    return [_slice_tags(scenario, rates, k) for k in ks]
-
-
 def generate_streams(scenario, model):
     """Simulate one acquisition; returns {channel_name: TagStream}.
 
@@ -271,24 +261,16 @@ def generate_streams(scenario, model):
     platforms (numpy Generator bit streams are specified), whatever the
     number of worker threads.
     """
-    # imported here, not with the module: a process that never generates
-    # streams is spared its ~0.6 MiB (logging and threading come with it)
-    from concurrent.futures import ThreadPoolExecutor
-
     rates = branch_rates(scenario, model)
     for name, rate in rates.items():
         if rate * scenario.duration_s > _MAX_EXPECTED:
             raise ConfigurationError(
                 f"expected event count for {name} exceeds 2^62; reduce rate or duration")
 
-    # one contiguous block of slices per worker: futures in flight <= workers
     n_slices = max(1, math.ceil(scenario.duration_s / _SLICE_S))
-    workers = min(n_slices, _usable_cpus())
-    bounds = [j * n_slices // workers for j in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_slice_block, scenario, rates, range(lo, hi))
-                   for lo, hi in zip(bounds, bounds[1:])]
-        slices = [s for f in futures for s in f.result()]
+    blocks = _map_blocks(
+        lambda lo, hi: [_slice_tags(scenario, rates, k) for k in range(lo, hi)], n_slices)
+    slices = [s for block in blocks for s in block]
 
     duration_ps = round(scenario.duration_s * _PS)
     out = {}

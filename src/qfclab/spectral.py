@@ -34,8 +34,13 @@ negative power raises ValueError.
 The analytic quadratic coefficient describes the cascade in its low-gain
 regime; the event-level generator (montecarlo) instead scales the cascade
 as pump_power * conversion_efficiency(pump_power), which bends below
-quadratic once conversion saturates. Both agree where the device anchors
-live.
+quadratic once conversion saturates. The two agree only at low gain:
+through the UV stack, the generator's cascade (its 's+o' and 'o_only'
+branches) over `cascade_rate` tends to 1 as P -> 0 but is 0.945 at 25 mW,
+0.801 at 100 mW, 0.646 at 200 mW and 0.428 at 400 mW. So at 200 mW, where
+`coincidence_so` and the narrowline anchor sit, the simulated UV background
+is 35% below the one the noise gates check. Choosing one law is item 3 of
+ROADMAP.md.
 """
 
 import math

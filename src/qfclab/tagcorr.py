@@ -9,7 +9,11 @@ round; only tags with more than a few partners search for the window's end.
 The auto-correlation does no search: a tag's window starts at the next tag,
 and the pairs of equal timestamps, all at tau = 0, are counted in closed
 form. The kernel takes the first stream in chunks of
-`_kernels.PAIR_CHUNK` tags, so its temporaries stay bounded.
+`_kernels.PAIR_CHUNK` tags, so its temporaries stay bounded, and runs
+contiguous blocks of chunks on the block pool of `_kernels._map_blocks`,
+one worker per usable CPU, each with its own counts; the call itself stays
+on the calling thread, and the summed counts are the same for any number
+of workers.
 Bins are half-open [lower, upper), tau sign is t_b - t_a, and histograms are
 never symmetrized.
 

@@ -408,6 +408,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert src.read_bytes() == (tmp_path / "b.qtag").read_bytes()
 
+    def test_import_loads_no_thread_pool(self):
+        # the block pool imports concurrent.futures when it first runs, so
+        # runs that never fill one (model studies, Fock) do not pay for it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qfclab.__file__).parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        script = ("import sys\nimport qfclab, qfclab.cli\n"
+                  "assert 'concurrent.futures' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_convert_bad_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("")
         rc = cli.main(["convert", str(tmp_path / "x.txt"), str(tmp_path / "y.qtag")])

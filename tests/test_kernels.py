@@ -3,12 +3,16 @@ dead-time filter against the sequential one, the pair histogram against the
 all-pairs outer difference, also with its stepping rounds and chunks cut
 short so that every round boundary and chunk edge is crossed."""
 
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfclab import _kernels
+from qfclab import _kernels, montecarlo, tagcorr
 from qfclab._kernels import dead_time_mask, pair_histogram
 from qfclab.acceptance import _oracle_dead_time, _oracle_outer
 
@@ -30,6 +34,16 @@ def streams(draw):
 def test_matches_sequential_oracle(case):
     tags, dead = case
     assert np.array_equal(dead_time_mask(tags, dead), _oracle_dead_time(tags, dead))
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams(), st.integers(1, 7))
+def test_dead_time_across_gap_chunks(case, chunk):
+    tags, dead = case
+    expected = _oracle_dead_time(tags, dead)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_GAP_CHUNK", chunk)
+        assert np.array_equal(dead_time_mask(tags, dead), expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,3 +232,181 @@ def test_exclude_self_contract(b_same, tau_min):
     b = a if b_same else a.copy()
     with pytest.raises(ValueError, match="exclude_self"):
         pair_histogram(a, b, tau_min, tau_min + 20, 5, exclude_self=True)
+
+
+# ---------------------------------------------------------------------------
+# the block pool: threaded kernels against their serial path
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def serial(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_usable_cpus", lambda: 1)
+        return fn(*args)
+
+
+def _bursts(rng, n, span, low=-2_000):
+    """n sorted tags from `low` on, in runs of 1 to 12 equal timestamps."""
+    values = rng.integers(low, span, n)
+    return np.sort(np.repeat(values, rng.integers(1, 13, n)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_threaded_pair_histogram_matches_serial(workers, chunk, monkeypatch):
+    monkeypatch.setattr(_kernels, "PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    a, b = _bursts(rng, 150, 60_000), _bursts(rng, 150, 60_000)
+    cases = [(a, b, -500, 500, 20, False), (a, b, -3_000, -1_000, 100, False),
+             (a, a, 0, 400, 10, True), (a, a, 30, 600, 30, True)]
+    for case in cases:
+        got = pair_histogram(*case)
+        assert np.array_equal(got, serial(pair_histogram, *case))
+        assert np.array_equal(got, _oracle_outer(*case))
+
+
+def test_auto_ties_across_block_junctions(workers, monkeypatch):
+    # runs of 7 equal tags, from below -1 ps on, against chunks of 5: each
+    # block junction of 2 or 3 workers cuts a run of ties
+    monkeypatch.setattr(_kernels, "PAIR_CHUNK", 5)
+    a = np.repeat(np.arange(-40, 61, dtype=np.int64) * 3, 7)
+    n_chunks = -(-len(a) // 5)
+    assert all(a[i - 1] == a[i] for i in
+               (j * n_chunks // workers * 5 for j in range(1, workers)))
+    counts = pair_histogram(a, a, 0, 12, 3, exclude_self=True)
+    assert counts[0] == 101 * 7 * 6
+    assert np.array_equal(counts, serial(pair_histogram, a, a, 0, 12, 3, True))
+    assert np.array_equal(counts, _oracle_outer(a, a, 0, 12, 3, True))
+
+
+def _with_cluster(before, cluster, after, dead=30):
+    """Tags below -1 ps, then `before` tags one dead time apart (each kept by
+    its gap), a cluster of `cluster` tags dead/4 apart (every 4th kept), and
+    `after` tags one dead time apart."""
+    parts = [np.array([-7 * dead, -2 * dead, -2], dtype=np.int64),
+             np.arange(before) * dead,
+             before * dead + np.arange(cluster) * (dead // 4)]
+    t = parts[-1][-1] if cluster else (before - 1) * dead
+    parts.append(t + dead + np.arange(after) * dead)
+    return np.concatenate(parts).astype(np.int64), dead
+
+
+# (before, cluster, after): the even point of 2 parts, index n // 2 of the
+# n tags from -1 ps on, falls at the cluster's first tag, one tag before it,
+# inside it, at its last tag, one tag after it, inside a cluster longer than
+# the first scan of 1024 gaps, inside a cluster that runs to the end (no cut
+# is found), and where there is no cluster
+_CLUSTERS = [(1000, 500, 500), (1001, 500, 499), (500, 1000, 500), (0, 1001, 999),
+             (0, 1000, 1000), (100, 3000, 200), (1000, 3000, 0), (2000, 0, 2000)]
+
+
+@pytest.mark.parametrize("before, cluster, after", _CLUSTERS)
+def test_threaded_dead_time_matches_serial(workers, before, cluster, after, monkeypatch):
+    tags, dead = _with_cluster(before, cluster, after)
+    want = _oracle_dead_time(tags, dead)
+    assert np.array_equal(serial(dead_time_mask, tags, dead), want)
+    monkeypatch.setattr(_kernels, "_DEAD_TIME_PART", 100)
+    monkeypatch.setattr(_kernels, "_GAP_CHUNK", 7)
+    starts = []
+    part = _kernels._dead_time_part
+    monkeypatch.setattr(_kernels, "_dead_time_part",
+                        lambda t, d, kept: starts.append(int(t[0])) or part(t, d, kept))
+    assert np.array_equal(dead_time_mask(tags, dead), want)
+    # every part starts with a kept tag, the first part at the first tag
+    # from -1 ps on; with 2 parts the cut is the first tag at or after the
+    # even point whose gap to its predecessor is at least the dead time
+    t = tags[tags >= -1]
+    assert starts == sorted(set(starts)) and starts[0] == t[0]
+    assert all(want[np.searchsorted(tags, starts)])
+    if workers == 2:
+        gap_kept = np.flatnonzero(np.diff(t) >= dead) + 1
+        cut = gap_kept[gap_kept >= len(t) // 2][:1]
+        assert starts == [t[0]] + t[cut].tolist()
+        assert len(starts) == (1 if (after, cluster) == (0, 3000) else 2)
+    else:
+        assert len(starts) == workers or (workers == 3 and after == 0)
+
+
+def test_small_dead_time_inputs_build_no_pool(monkeypatch):
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    tags = np.arange(2 * _kernels._DEAD_TIME_PART - 1, dtype=np.int64)
+    assert dead_time_mask(tags, 2).sum() == _kernels._DEAD_TIME_PART
+
+
+def test_map_blocks_in_order_on_the_pool_and_serial_off_the_main_thread(monkeypatch):
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
+
+    def where(lo, hi):
+        return lo, hi, threading.current_thread() is threading.main_thread()
+    assert _kernels._map_blocks(where, 7) == [(0, 2, False), (2, 4, False), (4, 7, False)]
+    assert _kernels._map_blocks(where, 1) == [(0, 1, True)]
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    out = []
+    thread = threading.Thread(target=lambda: out.append(_kernels._map_blocks(where, 7)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert out == [[(0, 7, False)]]
+
+
+def test_blocks_under_thread_switching(monkeypatch):
+    # more workers than cores and a short switch interval: the parts write
+    # disjoint slices of one mask and the blocks their own counts
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_kernels, "PAIR_CHUNK", 97)
+    monkeypatch.setattr(_kernels, "_DEAD_TIME_PART", 500)
+    monkeypatch.setattr(_kernels, "_GAP_CHUNK", 61)
+    rng = np.random.default_rng(11)
+    a, b = _bursts(rng, 2_000, 2_000_000), _bursts(rng, 2_000, 2_000_000)
+    want_mask = serial(dead_time_mask, a, 300)
+    want_counts = serial(pair_histogram, a, b, -2_000, 2_000, 50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(dead_time_mask(a, 300), want_mask)
+            assert np.array_equal(pair_histogram(a, b, -2_000, 2_000, 50), want_counts)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_public_kernels_stay_on_calling_thread(monkeypatch):
+    # perfbench swaps these names for tracer wrappers, which are not
+    # thread-safe: the workers must run the private block functions only
+    calls = []
+
+    def on_calling_thread(fn):
+        def check(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread()
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return check
+
+    for module, name in [(_kernels, "pair_histogram"), (_kernels, "dead_time_mask"),
+                         (tagcorr, "pair_histogram")]:
+        monkeypatch.setattr(module, name, on_calling_thread(getattr(module, name)))
+    submitted = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(self)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "PAIR_CHUNK", 256)
+    monkeypatch.setattr(_kernels, "_DEAD_TIME_PART", 256)
+    rng = np.random.default_rng(5)
+    a, b = (montecarlo.TagStream(k, np.sort(rng.integers(0, 10 ** 9, 5_000)), 1e-3)
+            for k in range(2))
+    tagcorr.coincidence_histogram(a, b, 100, (-10_000, 10_000))
+    tagcorr.auto_correlation_histogram(a, 100, (0, 10_000))
+    _kernels.dead_time_mask(b.tags, 50_000)
+    assert calls == ["pair_histogram", "pair_histogram", "dead_time_mask"]
+    # one pool per call, one block per worker
+    assert len(submitted) == 6 and len({id(pool) for pool in submitted}) == 3

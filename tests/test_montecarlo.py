@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from qfclab import montecarlo
+from qfclab import _kernels, montecarlo
 from qfclab._kernels import dead_time_mask, is_sorted
 from qfclab.config import bundled_losses, bundled_model
 from qfclab.montecarlo import (ChannelConfig, ConfigurationError, ScenarioConfig,
@@ -122,6 +122,23 @@ class TestGeneration:
         # low-gain limit: quadratic in power
         assert so_rate(0.2) / so_rate(0.1) == pytest.approx(4.0, rel=1e-3)
 
+    def test_uv_cascade_against_the_noise_model(self, model):
+        """The generator's UV cascade over spectral.cascade_rate: 1 at low
+        gain, falling as conversion saturates (as the spectral docstring
+        states)."""
+        from qfclab.scenarios import output_channel, signal_channel, uv_stack
+        from qfclab.spectral import cascade_rate
+        channels = {"signal": signal_channel(model),
+                    "output": output_channel(model, bundled_losses())}
+
+        def ratio(p):
+            sc = ScenarioConfig(pump_power_mw=p, duration_s=1.0, seed=0, channels=channels)
+            r = branch_rates(sc, model)
+            return (r["s+o"] + r["o_only"]) / cascade_rate(p, uv_stack(model), model)
+        assert ratio(1e-3) == pytest.approx(1.0, abs=1e-5)
+        assert [round(ratio(p), 3) for p in (25.0, 100.0, 200.0, 400.0)] \
+            == [0.945, 0.801, 0.646, 0.428]
+
     def test_dead_time_enforced(self, model):
         ch = ChannelConfig(losses=lossless_budget(), dark_hz=200_000.0,
                            jitter_fwhm_ps=0.0, dead_time_ns=50.0)
@@ -174,18 +191,24 @@ class TestGeneration:
         target = r_lit * 2.0
         assert abs(n_lit / target - 1.0) < 5.0 / np.sqrt(target)
 
-    def test_slice_partition_equivalence(self, model):
-        # a 3 s acquisition equals the concatenation of its 1 s slices,
-        # regardless of how many slices the duration spans
-        sc3 = dark_only_scenario(20_000.0, 3.0, seed=11)
-        full = generate_streams(sc3, model)["output"].tags
-        pieces = []
+    def test_slice_made_alone_matches_its_window(self, model):
+        # slice k generated on its own equals window k of the acquisition
+        # away from the junctions, across which the jitter (350 ps FWHM,
+        # sigma ~150 ps) can move a tag: the 1 us margin is ~7,000 sigma.
+        # No dead time, which would let one slice's tags drop the next one's.
+        sc = pair_scenario(2.5, 11, dead_time_ns=0.0)
+        rates = branch_rates(sc, model)
+        full = generate_streams(sc, model)
+        margin = 10 ** 6
         for k in range(3):
-            sck = dark_only_scenario(20_000.0, 3.0, seed=11)
-            tags = generate_streams(sck, model)["output"].tags
-            lo, hi = k * 10 ** 12, (k + 1) * 10 ** 12
-            pieces.append(tags[(tags >= lo) & (tags < hi)])
-        assert np.array_equal(full, np.concatenate(pieces))
+            alone = montecarlo._slice_tags(sc, rates, k)
+            lo = k * 10 ** 12 + margin
+            hi = min(k + 1, 2.5) * 10 ** 12 - margin
+            for c, stream in full.items():
+                want = stream.tags[(stream.tags >= lo) & (stream.tags < hi)]
+                got = alone[c][(alone[c] >= lo) & (alone[c] < hi)]
+                assert len(want) > 300, (k, c)
+                assert np.array_equal(got, want), (k, c)
 
 
 class TestNonFiniteInputs:
@@ -274,7 +297,7 @@ def assert_matches_serial(scenario, model):
 
 @pytest.fixture(params=[1, 2, 3])
 def workers(request, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: request.param)
     return request.param
 
 
@@ -336,9 +359,12 @@ def test_rates_and_dead_time_stay_on_calling_thread(model, monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
     streams = generate_streams(pair_scenario(50.0, 2, pump_power_mw=0.01), model)
     assert sum(len(s) for s in streams.values()) > 1000
     assert {"dead_time_mask", "band_fraction"} <= set(calls)
-    (pool,) = pools
-    assert pool.workers == 3 and pool.submitted == 3
+    # the slice pool, then the dead-time pool of the one stream long enough
+    # to split (the idler's ~1e6 tags; the others stay serial)
+    assert len(streams["idler"]) >= 3 * _kernels._DEAD_TIME_PART
+    assert max(len(streams["signal"]), len(streams["output"])) < 2 * _kernels._DEAD_TIME_PART
+    assert [(pool.workers, pool.submitted) for pool in pools] == [(3, 3), (3, 3)]
