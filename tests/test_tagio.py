@@ -1,4 +1,6 @@
+import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfclab import tagio
 from qfclab.montecarlo import TagStream
 from qfclab.tagio import (TagFormatError, read_csv, read_qtag, write_csv,
                           write_qtag)
@@ -172,12 +175,48 @@ def test_csv_header_without_rows(tmp_path):
         assert read_csv(path) == []
 
 
-@pytest.mark.parametrize("rows", ["1\n", "1,2,3\n", "1,x\n", "1,2.5\n", "1,\n",
-                                  "1,2\n3\n", "1,2\n# 1,3\n"])
-def test_malformed_csv_row(tmp_path, rows):
+@pytest.mark.parametrize("rows, line", [("1\n", 2), ("1,2,3\n", 2), ("1,x\n", 2),
+                                        ("1,2.5\n", 2), ("1,\n", 2), ("1,2\n3\n", 3),
+                                        ("1,2\n# 1,3\n", 3)])
+def test_malformed_csv_row(tmp_path, rows, line):
     path = tmp_path / "bad_row.csv"
     path.write_text("channel,timestamp_ps\n" + rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(TagFormatError, match=f": line {line}: "):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("1", "expected 2 comma-separated fields, found 1"),
+    ("1,2,3", "expected 2 comma-separated fields, found 3"),
+    ("1,2a", "timestamp field holds the non-digit byte b'a'"),
+    ("+1,2", "channel field holds the non-digit byte b'+'"),
+    ("1, 2", "timestamp field holds the non-digit byte b' '"),
+    ("1,2\r3", "timestamp field holds the non-digit byte b'\\r'"),
+    ("-,2", "empty channel field"),
+    ("1,", "empty timestamp field"),
+    ("1,9223372036854775808", "timestamp 9223372036854775808 is outside int64"),
+    ("1,0010000000000000000000", "timestamp 10000000000000000000 is outside int64"),
+    ("-9223372036854775809,1", "channel 9223372036854775809 is outside int64"),
+    ("1,-5", "negative timestamp"),
+])
+@pytest.mark.parametrize("comment", ["", "# qtag-csv v1 duration_ps=5000\n"])
+def test_malformed_csv_row_names_its_reason(tmp_path, row, reason, comment):
+    # without a comment line, a negative timestamp once surfaced as
+    # "duration must be >= 0"
+    path = tmp_path / "bad_row.csv"
+    path.write_bytes(f"{comment}channel,timestamp_ps\n1,1\n\n{row}\n1,9\n".encode())
+    line = 4 + bool(comment)
+    with pytest.raises(TagFormatError, match=f"bad_row.csv: line {line}: {re.escape(reason)}$"):
+        read_csv(path)
+
+
+def test_csv_header_must_be_ascii(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("# qtag-csv v1 duration_ps=5000 µ\nchannel,timestamp_ps\n".encode())
+    with pytest.raises(TagFormatError, match="line 1: header is not ASCII"):
+        read_csv(path)
+    path.write_bytes(b"channel,timestamp_ps\xff\n1,2\n")
+    with pytest.raises(TagFormatError, match="line 1: header is not ASCII"):
         read_csv(path)
 
 
@@ -226,6 +265,148 @@ def test_multi_channel_csv_round_trip(tmp_path_factory, streams):
     for got, sent in zip(back, streams):
         assert np.array_equal(got.tags, sent.tags)
         assert got.duration_ps == sent.duration_ps
+
+
+# a duration above every int64 tag, held by the float duration_s
+_HUGE_S = 2 ** 64 / 1e12
+
+
+def _boundary_tags():
+    edges = [0, 2 ** 63 - 1]
+    for k in range(1, 19):
+        edges += [10 ** k - 1, 10 ** k]
+    return np.array(sorted(edges), dtype=np.int64)
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 2, 3, 1 << 16])
+def test_csv_writer_at_digit_boundaries(tmp_path, monkeypatch, rows_per_write):
+    monkeypatch.setattr(tagio, "_CSV_ROWS_PER_WRITE", rows_per_write)
+    streams = [TagStream(0, _boundary_tags(), _HUGE_S),
+               TagStream(-12, np.repeat(_boundary_tags(), 2), _HUGE_S)]
+    path = tmp_path / "edges.csv"
+    write_csv(path, streams)
+    assert path.read_text().split("\n", 2)[2] == _oracle_rows(streams)
+
+
+@pytest.mark.parametrize("bad", [-5, 7])
+def test_csv_writer_refuses_tags_changed_after_construction(tmp_path, bad):
+    # -5 leaves a quotient after the one-digit run's division; 7 in place of
+    # 500 lands in the two-digit run and would be written as "07"
+    s = TagStream(0, [5, 50, 500], 1.0)
+    s.tags[2 if bad == 7 else 0] = bad
+    with pytest.raises(ValueError, match="sorted and nonnegative"):
+        write_csv(tmp_path / "changed.csv", s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=12))
+def test_csv_writer_writes_the_oracle_rows_or_refuses(tmp_path_factory, values):
+    # whatever the tags were changed to, no row is ever written wrong
+    s = TagStream(3, np.arange(len(values)), _HUGE_S)
+    s.tags[:] = values
+    path = tmp_path_factory.mktemp("prop") / "changed.csv"
+    try:
+        write_csv(path, s)
+    except ValueError:
+        assert any(t < 0 for t in values) or values != sorted(values)
+    else:
+        assert path.read_text().split("\n", 2)[2] == _oracle_rows([s])
+
+
+@st.composite
+def csv_bodies(draw):
+    """Row text over the reader's whole grammar: a signed channel, leading
+    zeros, \\n or \\r\\n, blank lines, an optional last line end."""
+    channels = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=3))
+    tag = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(0, 999), st.just(2 ** 63 - 1))
+    zeros = st.integers(0, 3).map(lambda n: "0" * n)
+    end = st.sampled_from(["\n", "\r\n"])
+    body = ""
+    for t in sorted(draw(st.lists(tag, max_size=30))):
+        ch = draw(st.sampled_from(channels))
+        sign = "-" if ch < 0 or (ch == 0 and draw(st.booleans())) else ""
+        body += draw(st.sampled_from(["", "\n", "\r\n"]))
+        body += f"{sign}{draw(zeros)}{abs(ch)},{draw(zeros)}{t}{draw(end)}"
+    if draw(st.booleans()):
+        body = body.rstrip("\r\n")
+    return body
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_bodies())
+def test_csv_reader_matches_loadtxt_over_its_grammar(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("prop") / "grammar.csv"
+    path.write_bytes(f"# qtag-csv v1 duration_ps={2 ** 64}\nchannel,timestamp_ps\n"
+                     f"{body}".encode())
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, comments=None,
+                          skiprows=2)
+    order = list(dict.fromkeys(rows[:, 0].tolist()))
+    back = read_csv(path)
+    assert [s.channel for s in back] == order
+    for s in back:
+        assert np.array_equal(s.tags, rows[rows[:, 0] == s.channel, 1])
+
+
+_STRADDLED = ("# qtag-csv v1 duration_ps=100000\r\nchannel,timestamp_ps\r\n"
+              + "".join(f"{i % 3 - 1},{i * 97:05d}\r\n" + "\n" * (i % 4 == 0)
+                        for i in range(200)))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3, 8, 29, 1 << 18])
+def test_csv_reader_joins_rows_across_blocks(tmp_path, monkeypatch, block_bytes):
+    # small blocks cut rows, line ends and \r\n pairs at every position, and
+    # hold rows longer than a block
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(_STRADDLED.rstrip("\r\n").encode())
+    monkeypatch.setattr(tagio, "_CSV_BLOCK_BYTES", block_bytes)
+    back = read_csv(path)
+    assert [s.channel for s in back] == [-1, 0, 1]
+    for s in back:
+        assert s.tags.tolist() == [i * 97 for i in range(200) if i % 3 - 1 == s.channel]
+
+
+@pytest.mark.parametrize("block_bytes", [5, 64, 1 << 18])
+def test_csv_error_line_counts_across_blocks(tmp_path, monkeypatch, block_bytes):
+    lines = _STRADDLED.split("\r\n")
+    bad = next(n for n, text in enumerate(lines) if n > 150 and text)
+    lines[bad] = lines[bad].replace(",", ",x")
+    text = "\r\n".join(lines)
+    path = tmp_path / "late.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(tagio, "_CSV_BLOCK_BYTES", block_bytes)
+    file_line = text[:text.index(",x")].count("\n") + 1
+    with pytest.raises(TagFormatError, match=f"line {file_line}: timestamp field holds "
+                                             "the non-digit byte b'x'"):
+        read_csv(path)
+
+
+def test_csv_reader_memory_is_bounded_by_its_output(tmp_path):
+    # the file is read in blocks: 2**17 rows (2.2 MB of text) peak at about
+    # 3.2 times the 1 MiB of tags read, where one whole-file pass needs ~13
+    s = random_stream(10, n=1 << 17, duration_s=20.0)
+    path = tmp_path / "long.csv"
+    write_csv(path, s)
+    tracemalloc.start()
+    try:
+        (back,) = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.tags, s.tags)
+    assert peak < 5 * back.tags.nbytes
+
+
+def test_qtag_payload_is_the_u64_view_of_the_tags(tmp_path):
+    # negatives written after construction wrap as astype("<u8") wraps them
+    s = random_stream(11, n=50)
+    s.tags[:3] = [-1, -2 ** 63, 2 ** 63 - 1]
+    path = tmp_path / "wrap.qtag"
+    write_qtag(path, s)
+    assert path.read_bytes() == (struct.pack("<4sHHQQ", b"QTAG", 1, s.channel,
+                                             s.duration_ps, len(s.tags))
+                                 + s.tags.astype("<u8").tobytes())
 
 
 @pytest.mark.xfail(strict=True, reason="the float duration_s of a TagStream cannot "
