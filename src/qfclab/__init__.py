@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from ._kernels import backend_name
 from .spectral import (ConverterModel, LossBudget, SpectralFilter,
-                       WavelengthTriple, conversion_efficiency,
-                       detected_signal_rate, energy_gap, filter_transmission,
+                       conversion_efficiency, detected_signal_rate, energy_gap,
                        noise_rate, noise_spectrum, sfg_output_wavelength,
                        spdc_signal_wavelength)
 from .fock import (CouplingParams, FockBasis, FockState, cascaded_evolution,

@@ -7,17 +7,16 @@ both drive this module, so there is a single source of truth for the
 gates and their tolerances.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, fock
 from .config import bundled_losses, bundled_model
-from .fock import (CouplingParams, FockBasis, build_qfc_hamiltonian,
-                   build_spdc_hamiltonian, cascaded_evolution,
+from .fock import (CouplingParams, FockBasis, cascaded_evolution,
                    closed_form_observables, correlation_observables,
-                   evolution_operator, evolve, number_state,
                    observables_with_truncation_check)
 from .montecarlo import TagStream
 from .scenarios import (compute_coincidence_si, compute_coincidence_so,
@@ -69,26 +68,33 @@ def check_energy_conservation(model, losses, printer=None):
 
 
 def check_fock_engine(model, losses, printer=None):
+    # unitarity and the beamsplitter law on the sector blocks that
+    # cascaded_evolution exponentiates, read through fock._sector_couplings
     rng = np.random.default_rng(7)
     worst_unitary = 0.0
     for _ in range(6):
-        basis = FockBasis(n_max=int(rng.integers(1, 4)))
+        n_max = int(rng.integers(1, 4))
         params = CouplingParams(kappa=rng.uniform(0, 2), gamma=rng.uniform(0, 2),
                                 pump_amplitude=rng.uniform(0, 1.5),
                                 interaction_time=rng.uniform(0, 2))
-        for build in (build_qfc_hamiltonian, build_spdc_hamiltonian):
-            u = evolution_operator(build(basis, params), params.interaction_time)
-            dev = np.abs(u.conj().T @ u - np.eye(basis.dim)).max()
-            worst_unitary = max(worst_unitary, dev)
+        pair, conversion = fock._sector_couplings(params, n_max)
+        for off_diagonal in (pair, *conversion[1:]):
+            u = fock._block_propagator(off_diagonal, params.interaction_time)
+            worst_unitary = max(worst_unitary,
+                                np.abs(u.conj().T @ u - np.eye(len(u))).max())
 
+    # |<k,k-j,j|U|k,k,0>|^2 = C(k,j) sin^2j(theta) cos^2(k-j)(theta), k = 1..3
     basis = FockBasis(n_max=3)
     worst_bs = 0.0
     for theta in np.linspace(0.0, np.pi, 41):
         p = CouplingParams(kappa=1.0, gamma=0.0, pump_amplitude=1.0,
                            interaction_time=theta)
-        h = build_qfc_hamiltonian(basis, p)
-        st = evolve(number_state(basis, 0, 1, 0), h, theta)
-        worst_bs = max(worst_bs, abs(st.population(0, 0, 1) - np.sin(theta) ** 2))
+        s2, c2 = math.sin(theta) ** 2, math.cos(theta) ** 2
+        _, conversion = fock._sector_couplings(p, basis.n_max)
+        for k in range(1, basis.n_max + 1):
+            law = [math.comb(k, j) * s2 ** j * c2 ** (k - j) for j in range(k + 1)]
+            u0 = fock._block_propagator(conversion[k], theta)[:, 0]
+            worst_bs = max(worst_bs, np.abs(np.abs(u0) ** 2 - law).max())
 
     worst_prop = 0.0
     for g in (0.02, 0.05):
@@ -117,8 +123,9 @@ def check_fock_engine(model, losses, printer=None):
     ok = (worst_unitary < 1e-10 and worst_bs < 1e-8 and worst_prop <= 0.05
           and delta < 1e-6 and dev < 1e-6)
     return _result("fock-engine-exactness", ok,
-                   f"unitarity {worst_unitary:.1e} (<1e-10), beamsplitter-law "
-                   f"error {worst_bs:.1e} (<1e-8), low-gain amplitude error "
+                   f"sector-block unitarity {worst_unitary:.1e} (<1e-10), "
+                   f"k-photon beamsplitter-law error (k<=3) {worst_bs:.1e} (<1e-8), "
+                   f"low-gain amplitude error "
                    f"{worst_prop:.2%} (<=5%), truncation shift {delta:.1e} (<1e-6), "
                    f"closed-form deviation at A=1, n_max=40 {dev:.1e} (<1e-6)",
                    printer)

@@ -158,6 +158,8 @@ def config_from_dict(data):
     """(ConverterModel, LossBudget) from a config dict; every field of both
     sections must be present as a finite JSON number, and no other key, else
     ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unrecognized schema_version {version!r}")

@@ -17,6 +17,11 @@ with both amplitudes real and positive. The sign convention is pinned by
 <1,1,0| H_pair |0,0,0> = -i*gamma*A (test-enforced); only magnitudes are
 observable.
 
+`cascaded_evolution` exponentiates tridiagonal sector blocks with the
+couplings of `_sector_couplings`, the blocks the acceptance gate checks.
+The dense oracle (Kronecker-product generators, full propagators) lives in
+tests/dense_fock.py.
+
 All functions are pure: inputs are never mutated and identical inputs give
 bitwise-identical outputs, so values can be shared freely across threads.
 """
@@ -79,12 +84,6 @@ class FockBasis:
                 raise ValueError(f"occupation {n} outside [0, {self.n_max}]")
         return (n_s * d + n_i) * d + n_o
 
-    def occupations(self):
-        """(dim, 3) integer array of occupation numbers, row k = state k."""
-        d = self.n_max + 1
-        idx = np.arange(self.dim)
-        return np.stack([idx // (d * d), (idx // d) % d, idx % d], axis=1)
-
 
 @dataclass(frozen=True)
 class FockState:
@@ -109,9 +108,6 @@ class FockState:
 
     def population(self, n_s, n_i, n_o):
         return abs(self.amplitude(n_s, n_i, n_o)) ** 2
-
-    def expectation(self, matrix):
-        return np.vdot(self.amplitudes, matrix @ self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -138,58 +134,6 @@ def vacuum(basis):
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index(0, 0, 0)] = 1.0
     return FockState(basis, amps)
-
-
-def number_state(basis, n_s, n_i, n_o):
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index(n_s, n_i, n_o)] = 1.0
-    return FockState(basis, amps)
-
-
-def _kron3(signal, idler, output):
-    """Operator on the three-mode basis from one factor per mode."""
-    return np.kron(np.kron(signal, idler), output).astype(np.complex128)
-
-
-def _ladder(basis):
-    """Single-mode annihilator, <n-1|a|n> = sqrt(n), and the identity."""
-    d = basis.n_max + 1
-    return np.diag(np.sqrt(np.arange(1, d)), 1), np.eye(d)
-
-
-def build_annihilator(basis, mode):
-    """Ladder-down operator for one mode: <..n-1..|a|..n..> = sqrt(n)."""
-    a, eye = _ladder(basis)
-    factors = [eye, eye, eye]
-    factors[_axis(mode)] = a
-    return _kron3(*factors)
-
-
-def build_number_operator(basis, mode):
-    a = build_annihilator(basis, mode)
-    return a.conj().T @ a
-
-
-def build_qfc_hamiltonian(basis, params):
-    """Conversion (idler <-> output) Hamiltonian, i*kappa*A*(a_i^dag a_o) + h.c.
-
-    Commutes with n_i + n_o. Sign fixed so that
-    <1,0,1| H |1,1,0> = -i*kappa*A.
-    """
-    a, eye = _ladder(basis)
-    m = 1j * params.kappa * params.pump_amplitude * _kron3(eye, a.T, a)
-    return m + m.conj().T
-
-
-def build_spdc_hamiltonian(basis, params):
-    """Pair-generation Hamiltonian, i*gamma*A*(a_s a_i) + h.c.
-
-    Commutes with n_s - n_i. Sign fixed so that
-    <1,1,0| H |0,0,0> = -i*gamma*A.
-    """
-    a, eye = _ladder(basis)
-    m = 1j * params.gamma * params.pump_amplitude * _kron3(a, a, eye)
-    return m + m.conj().T
 
 
 def evolve(state, hamiltonian, time, tolerance=1e-10):
@@ -229,22 +173,41 @@ def _renormalized(amps):
     return amps
 
 
-def evolution_operator(hamiltonian, time):
-    """Dense U = exp(+i*time*H) for inspection/tests (unitarity checks)."""
-    w, v = np.linalg.eigh(hamiltonian)
-    return (v * np.exp(1j * time * w)) @ v.conj().T
+def _sector_couplings(params, n_max):
+    """Off-diagonals c of the blocks `cascaded_evolution` exponentiates, each
+    block with <m+1|H|m> = -i*c[m]: the pair block on |k,k,0>, k = 0..n_max,
+    and conversion block k on |k,k-j,j>, j = 0..k, for every k."""
+    gamma_a = params.gamma * params.pump_amplitude
+    kappa_a = params.kappa * params.pump_amplitude
+    pair = gamma_a * np.arange(1, n_max + 1)
+    conversion = []
+    for k in range(n_max + 1):
+        j = np.arange(k)
+        conversion.append(kappa_a * np.sqrt((k - j) * (j + 1)))
+    return pair, conversion
 
 
-def _evolve_first_unit_vector(off_diagonal, time):
-    """exp(+i*time*H) e_0 for the Hermitian tridiagonal H with zero diagonal
-    and <j+1|H|j> = -i*off_diagonal[j]."""
+def _block_eigh(off_diagonal):
+    """Eigenpairs of the Hermitian tridiagonal H with zero diagonal and
+    <j+1|H|j> = -i*off_diagonal[j]."""
     n = len(off_diagonal) + 1
     j = np.arange(n - 1)
     h = np.zeros((n, n), dtype=np.complex128)
     h[j + 1, j] = -1j * off_diagonal
     h[j, j + 1] = 1j * off_diagonal
-    w, v = np.linalg.eigh(h)
+    return np.linalg.eigh(h)
+
+
+def _evolve_first_unit_vector(off_diagonal, time):
+    """exp(+i*time*H) e_0 for the block H of `_block_eigh`."""
+    w, v = _block_eigh(off_diagonal)
     return v @ (np.exp(1j * time * w) * v[0].conj())
+
+
+def _block_propagator(off_diagonal, time):
+    """The whole block unitary exp(+i*time*H), H as in `_block_eigh`."""
+    w, v = _block_eigh(off_diagonal)
+    return (v * np.exp(1j * time * w)) @ v.conj().T
 
 
 def cascaded_evolution(basis, params):
@@ -256,22 +219,20 @@ def cascaded_evolution(basis, params):
     tridiagonal with <k+1,k+1,0|H|k,k,0> = -i*gamma*A*(k+1). H_conv
     conserves n_s and n_i + n_o, so the conversion step acts on each
     |k,k,0> within the k+1 states |k,k-j,j>, j = 0..k, with
-    <k,k-j-1,j+1|H|k,k-j,j> = -i*kappa*A*sqrt((k-j)(j+1)). Each step keeps
-    the norm guard of `evolve`; the dense builders and `evolve` remain the
-    oracle for this path.
+    <k,k-j-1,j+1|H|k,k-j,j> = -i*kappa*A*sqrt((k-j)(j+1)). Both come from
+    `_sector_couplings`. Each step keeps the norm guard of `evolve`; the
+    dense oracle in tests/dense_fock.py checks this path.
     """
     t = params.interaction_time
     if t == 0:
         return vacuum(basis)
-    gamma_a = params.gamma * params.pump_amplitude
-    kappa_a = params.kappa * params.pump_amplitude
     d = basis.n_max + 1
-    pairs = _renormalized(_evolve_first_unit_vector(gamma_a * np.arange(1, d), t))
+    pair, conversion = _sector_couplings(params, basis.n_max)
+    pairs = _renormalized(_evolve_first_unit_vector(pair, t))
     out = np.zeros(basis.dim, dtype=np.complex128)
     for k, c in enumerate(pairs):
         j = np.arange(k + 1)
-        block = _evolve_first_unit_vector(kappa_a * np.sqrt((k - j[:k]) * (j[:k] + 1)), t)
-        out[(k * d + k - j) * d + j] = c * block
+        out[(k * d + k - j) * d + j] = c * _evolve_first_unit_vector(conversion[k], t)
     return FockState(basis, _renormalized(out))
 
 

@@ -78,15 +78,25 @@ class RunManifest:
 
 
 def _scenario_from_dict(index, entry):
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"manifest scenario #{index} {entry!r} is not an object")
     for key in ("name", "kind"):
         if key not in entry:
             raise ScenarioError(f"manifest scenario #{index} {entry!r} has no {key!r}")
+    if not isinstance(entry["name"], str):
+        raise ScenarioError(f"manifest scenario #{index} {entry!r}: 'name' must be "
+                            "a string")
     return Scenario(entry["name"], entry["kind"], entry.get("params", {}))
 
 
 def manifest_from_dict(data):
-    scenarios = [_scenario_from_dict(i, entry)
-                 for i, entry in enumerate(data.get("scenarios", []))]
+    if not isinstance(data, dict):
+        raise ScenarioError(f"manifest must be a JSON object, got {type(data).__name__}")
+    entries = data.get("scenarios", [])
+    if not isinstance(entries, list):
+        raise ScenarioError(f"manifest 'scenarios' must be a list, got "
+                            f"{type(entries).__name__}")
+    scenarios = [_scenario_from_dict(i, entry) for i, entry in enumerate(entries)]
     return RunManifest(scenarios, seed=data.get("seed", 12345),
                        output_dir=data.get("output_dir", "out"),
                        config_path=data.get("config_path"),

@@ -94,31 +94,6 @@ def energy_gap(lambda_a_nm, lambda_b_nm):
     return HC_EV_NM * inv, C_NM_GHZ * inv / 1e3
 
 
-@dataclass(frozen=True)
-class WavelengthTriple:
-    """The four coupled vacuum wavelengths of the device (nm)."""
-
-    lambda_input: float
-    lambda_pump: float
-    lambda_output: float
-    lambda_signal: float
-
-    def __post_init__(self):
-        for v in (self.lambda_input, self.lambda_pump, self.lambda_output, self.lambda_signal):
-            if v <= 0:
-                raise ValueError("wavelengths must be positive")
-        if abs(1 / self.lambda_output - 1 / self.lambda_input - 1 / self.lambda_pump) > 1e-9:
-            raise ValueError("output wavelength violates energy conservation")
-        if abs(1 / self.lambda_signal - (1 / self.lambda_pump - 1 / self.lambda_input)) > 1e-9:
-            raise ValueError("signal wavelength violates energy conservation")
-
-    @classmethod
-    def from_input_pump(cls, lambda_input_nm, lambda_pump_nm):
-        return cls(lambda_input_nm, lambda_pump_nm,
-                   sfg_output_wavelength(lambda_input_nm, lambda_pump_nm),
-                   spdc_signal_wavelength(lambda_pump_nm, lambda_input_nm))
-
-
 # ---------------------------------------------------------------------------
 # device model / loss budget / filters
 
@@ -172,9 +147,6 @@ class ConverterModel:
     @property
     def output_center_ghz(self):
         return C_NM_GHZ / self.lambda_output_nm
-
-    def wavelengths(self):
-        return WavelengthTriple.from_input_pump(self.lambda_input_nm, self.lambda_pump_nm)
 
 
 @dataclass(frozen=True)
@@ -309,11 +281,6 @@ class SpectralFilter:
         return self.peak_transmission / (1.0 + (2.0 * dnu / self.fwhm_ghz) ** 2)
 
 
-def filter_transmission(filt, frequency_thz):
-    """Transmission of one filter at an absolute optical frequency (THz)."""
-    return filt.transmission_at_offset(frequency_thz * 1e3 - filt.center_ghz)
-
-
 def stack_transmission(filters, frequency_ghz):
     """Product of all filter transmissions at absolute frequency (GHz).
 
@@ -358,13 +325,6 @@ def conversion_efficiency(pump_power_mw, model, internal=True, losses=None):
             raise ValueError("external efficiency requires a LossBudget (mode_matching)")
         eta = eta * losses.mode_matching
     return _scalar_or_array(eta)
-
-
-def saturation_turnover_mw(model):
-    """Pump power where the effective power P*exp(-c*P) peaks."""
-    if model.uv_absorption_per_mw == 0:
-        return math.inf
-    return 1.0 / model.uv_absorption_per_mw
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ so only the channel may carry a sign. Rows end in "\n" or "\r\n", blank
 lines are skipped and the last row may lack its line end. Anything else
 (a "+" sign, spaces or tabs around a field, a lone "\r" line end, a value
 outside int64) raises TagFormatError naming the reason and the 1-based
-line of the file.
+line of the file. So does a comment-line value that is not digits (a "-"
+allowed). Tags out of order, or at or past their duration, raise
+TagFormatError naming the file and the CSV channel or the .qtag tag index.
 """
 
 import os
@@ -85,8 +87,24 @@ def read_qtag(path):
                                  f"found {payload} bytes")
         # u64 read as i64 wraps values at or above 2**63 as astype(np.int64) does
         tags = np.fromfile(fh, dtype="<i8", count=count)
-    return TagStream(channel, tags, duration_ps / _PS,
-                     meta={"source": str(path)})
+    try:
+        return TagStream(channel, tags, duration_ps / _PS,
+                         meta={"source": str(path)})
+    except ValueError as exc:
+        raise TagFormatError(f"{path}: tag {_first_bad_tag(tags, duration_ps)}: "
+                             f"{exc}") from None
+
+
+def _first_bad_tag(tags, duration_ps):
+    """Index of the tag that TagStream rejects, in the order of its checks:
+    a negative first tag, a tag below its predecessor, a tag at or past the
+    duration (as TagStream rounds it)."""
+    if tags[0] < 0:
+        return 0
+    descents = np.flatnonzero(tags[1:] < tags[:-1])
+    if len(descents):
+        return int(descents[0]) + 1
+    return int(np.searchsorted(tags, round(duration_ps / _PS * _PS)))
 
 
 def write_csv(path, streams):
@@ -156,11 +174,11 @@ def read_csv(path):
             for token in first.split():
                 key, _, value = token.partition("=")
                 if key == "duration_ps":
-                    duration_ps = int(value)
+                    duration_ps = _header_int(path, key, value)
                 elif key == "channels":
-                    listed = [int(c) for c in value.split(",") if c]
+                    listed = [_header_int(path, key, c) for c in value.split(",") if c]
                 elif key == "durations_ps":
-                    durations = [int(d) for d in value.split(",") if d]
+                    durations = [_header_int(path, key, d) for d in value.split(",") if d]
             header = _header_line(fh, path, 2)
             line = 3
         else:
@@ -190,9 +208,19 @@ def read_csv(path):
     streams = []
     for ch in dict.fromkeys(listed + in_rows):   # file order after the listed ones
         own_tags = tags if in_rows == [ch] else tags[channels == ch]
-        streams.append(TagStream(ch, own_tags, own.get(ch, duration_ps) / _PS,
-                                 meta={"source": str(path)}))
+        try:
+            streams.append(TagStream(ch, own_tags, own.get(ch, duration_ps) / _PS,
+                                     meta={"source": str(path)}))
+        except ValueError as exc:
+            raise TagFormatError(f"{path}: channel {ch}: {exc}") from None
     return streams
+
+
+def _header_int(path, key, value):
+    # the digits of the row grammar: no "+", "_" or exponent as int() allows
+    if not value.removeprefix("-").isdigit():
+        raise TagFormatError(f"{path}: line 1: {key} value {value!r} is not an integer")
+    return int(value)
 
 
 def _header_line(fh, path, line):

@@ -5,9 +5,12 @@ the captured output on failure) and the suite fails if any gate fails.
 `qfclab verify` runs the same battery from the command line.
 """
 
+import re
+
+import numpy as np
 import pytest
 
-from qfclab import acceptance
+from qfclab import acceptance, fock
 from qfclab.config import bundled_losses, bundled_model
 
 _MODEL = bundled_model()
@@ -19,3 +22,39 @@ _LOSSES = bundled_losses()
 def test_acceptance(check):
     result = check(_MODEL, _LOSSES, printer=print)
     assert result.passed, result.detail
+
+
+def _clause(detail, label):
+    return float(re.search(rf"{re.escape(label)} (\S+) \(", detail).group(1))
+
+
+def _skewed_couplings(monkeypatch, skew):
+    """Route fock._sector_couplings through skew(pair, conversion), which
+    both the gate and cascaded_evolution then read."""
+    original = fock._sector_couplings
+    monkeypatch.setattr(fock, "_sector_couplings",
+                        lambda params, n_max: skew(*original(params, n_max)))
+
+
+def test_fock_gate_reads_the_engines_conversion_blocks(monkeypatch):
+    p = fock.CouplingParams(kappa=1.0, gamma=1.0, pump_amplitude=0.3, interaction_time=1.0)
+    before = fock.cascaded_evolution(fock.FockBasis(n_max=3), p).amplitudes
+
+    def skew(pair, conversion):
+        if len(conversion) > 2:    # one coupling of conversion block k = 2
+            conversion[2] = conversion[2] * np.array([1.01, 1.0])
+        return pair, conversion
+    _skewed_couplings(monkeypatch, skew)
+    assert not np.array_equal(
+        fock.cascaded_evolution(fock.FockBasis(n_max=3), p).amplitudes, before)
+    result = acceptance.check_fock_engine(_MODEL, _LOSSES)
+    assert not result.passed
+    assert _clause(result.detail, "beamsplitter-law error (k<=3)") > 1e-8
+    assert _clause(result.detail, "sector-block unitarity") < 1e-10
+
+
+def test_fock_gate_reads_the_engines_pair_block(monkeypatch):
+    _skewed_couplings(monkeypatch, lambda pair, conversion: (pair * 1.01, conversion))
+    result = acceptance.check_fock_engine(_MODEL, _LOSSES)
+    assert not result.passed
+    assert _clause(result.detail, "closed-form deviation at A=1, n_max=40") > 1e-6

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 import json
 import math
@@ -168,6 +169,11 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="schema_version"):
             load_config(path)
 
+    @pytest.mark.parametrize("data", [[1], "cal", None])
+    def test_top_level_not_an_object(self, data):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            config_from_dict(data)
+
 
 class TestCalibrate:
     def test_single_anchor_matches_root_find(self, model, losses):
@@ -214,6 +220,22 @@ class TestCalibrate:
 
 
 class TestScenarios:
+    def test_model_studies_write_nothing_to_stdout(self, tmp_path, model, losses, capfd):
+        # the benchmark reads a traced run's last stdout line as its result,
+        # so the library itself must print nothing; params as its smoke run
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).parents[1] / "perfbench" / "bench_workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        studies = workloads.ModelStudies
+        manifest = scenarios.RunManifest(
+            [Scenario(k, k, dict(studies.smoke_params.get(k, {}))) for k in studies.kinds],
+            seed=1, output_dir=str(tmp_path / "out"))
+        capfd.readouterr()
+        summaries = scenarios.run_manifest(manifest, model=model, losses=losses)
+        assert [s["kind"] for s in summaries] == list(studies.kinds)
+        assert capfd.readouterr().out == ""
+
     def test_deterministic_artifacts(self, tmp_path, model, losses):
         sc = Scenario("eff", "efficiency_sweep")
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -479,6 +501,42 @@ class TestCli:
 
 
 class TestManifest:
+    @pytest.mark.parametrize("data, match", [
+        ([1], "manifest must be a JSON object, got list"),
+        ({"scenarios": {"fd": "fock_demo"}}, "'scenarios' must be a list, got dict"),
+        ({"scenarios": [1]}, "scenario #0 1 is not an object"),
+        ({"scenarios": [{"name": "fd", "kind": "fock_demo"}, ["eff"]]},
+         r"scenario #1 \['eff'\] is not an object"),
+        ({"scenarios": [{"name": ["fd"], "kind": "fock_demo"}]},
+         "scenario #0 .*'name' must be a string"),
+    ])
+    def test_structure_errors_are_named(self, data, match):
+        with pytest.raises(ScenarioError, match=match):
+            manifest_from_dict(data)
+
+    @pytest.mark.parametrize("option, data", [
+        ("--config", [1]),
+        ("--manifest", [1]),
+        ("--manifest", {"schema_version": 1, "scenarios": [1]}),
+    ])
+    def test_cli_structure_error_exits_config_without_traceback(self, tmp_path,
+                                                                option, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qfclab.__file__).parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfclab.cli", "run", option, str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_default_covers_all_kinds(self):
         from qfclab.scenarios import KINDS
         m = default_manifest()

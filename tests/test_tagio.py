@@ -155,6 +155,45 @@ def test_csv_durations_must_match_channels(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("comment, key, value", [
+    ("duration_ps=5e3", "duration_ps", "5e3"),
+    ("duration_ps=", "duration_ps", ""),
+    ("duration_ps=+5_000", "duration_ps", "+5_000"),
+    ("duration_ps=5000 channels=0,x", "channels", "x"),
+    ("duration_ps=5000 channels=0 durations_ps=1.5", "durations_ps", "1.5"),
+])
+def test_csv_header_value_that_is_not_an_integer(tmp_path, comment, key, value):
+    path = tmp_path / "head.csv"
+    path.write_text(f"# qtag-csv v1 {comment}\nchannel,timestamp_ps\n0,3\n")
+    with pytest.raises(TagFormatError, match=re.escape(
+            f"head.csv: line 1: {key} value {value!r} is not an integer")):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ("0,5\n0,3\n", "timestamps must be sorted"),
+    ("0,5\n0,5000\n", "timestamps must be below the acquisition duration"),
+])
+def test_csv_stream_rejection_names_the_file(tmp_path, rows, reason):
+    path = tmp_path / "order.csv"
+    path.write_text(f"# qtag-csv v1 duration_ps=5000\nchannel,timestamp_ps\n1,1\n{rows}")
+    with pytest.raises(TagFormatError, match=f"order.csv: channel 0: {reason}$"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("tags, index, reason", [
+    ([1, 5, 3, 4], 2, "timestamps must be sorted"),
+    ([1, 2, 3, 10_000], 3, "timestamps must be below the acquisition duration"),
+    ([2 ** 64 - 1, 2, 3, 4], 0, "timestamps must be nonnegative"),
+])
+def test_qtag_stream_rejection_names_the_file_and_tag(tmp_path, tags, index, reason):
+    path = tmp_path / "order.qtag"
+    path.write_bytes(struct.pack("<4sHHQQ", b"QTAG", 1, 0, 5000, len(tags))
+                     + np.array(tags, dtype=np.uint64).astype("<u8").tobytes())
+    with pytest.raises(TagFormatError, match=f"order.qtag: tag {index}: {reason}$"):
+        read_qtag(path)
+
+
 def test_csv_without_channel_ids_reads_in_file_order(tmp_path):
     path = tmp_path / "old.csv"
     path.write_text("# qtag-csv v1 duration_ps=5000\nchannel,timestamp_ps\n"
