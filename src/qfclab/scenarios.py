@@ -166,11 +166,10 @@ def compute_efficiency_sweep(model, losses, params, seed):
     powers = params.get("powers_mw", [12.5 * k for k in range(0, 33)])
     if len(powers) == 0:
         raise ScenarioError("empty sweep list")
-    rows = []
-    for p in powers:
-        ei = conversion_efficiency(p, model, internal=True)
-        ee = conversion_efficiency(p, model, internal=False, losses=losses)
-        rows.append((p, ei, ee))
+    p_mw = np.asarray(powers, dtype=float)
+    eta_int = conversion_efficiency(p_mw, model, internal=True)
+    eta_ext = conversion_efficiency(p_mw, model, internal=False, losses=losses)
+    rows = list(zip(powers, eta_int.tolist(), eta_ext.tolist()))
     ei200 = conversion_efficiency(200.0, model, internal=True)
     ee200 = conversion_efficiency(200.0, model, internal=False, losses=losses)
     max_ei = max(r[1] for r in rows)

@@ -9,7 +9,9 @@ Binary (.qtag), little-endian:
     count * u64 timestamps in ps, and nothing after them
 
 A payload that is not exactly count * 8 bytes, short or long, raises
-TagFormatError before anything is read.
+TagFormatError before anything is read. Writing a stream whose channel or
+duration the header cannot hold raises TagFormatError before the file is
+opened.
 
 CSV: two columns (channel, timestamp_ps) after a single comment line
 carrying the longest duration, the channel ids (``channels=0,1``) and each
@@ -52,6 +54,7 @@ _CSV_ROWS_PER_WRITE = 1 << 16
 # size; 256 KiB parses as fast as 1 MiB with a quarter of the temporaries
 _CSV_BLOCK_BYTES = 1 << 18
 _NL, _CR, _COMMA, _MINUS, _ZERO = b"\n\r,-0"
+_U16_MAX, _U64_MAX = 2 ** 16 - 1, 2 ** 64 - 1    # header channel, duration
 _INT64_MAX = 2 ** 63 - 1
 _INT64_MIN = -2 ** 63
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)    # a k-digit tag is below 10**k
@@ -62,6 +65,13 @@ class TagFormatError(ValueError):
 
 
 def write_qtag(path, stream):
+    # checked before the file is opened, so a value the header cannot hold
+    # leaves no file behind
+    for name, value, top in (("channel", stream.channel, _U16_MAX),
+                             ("duration_ps", stream.duration_ps, _U64_MAX)):
+        if not 0 <= value <= top:
+            raise TagFormatError(f"{path}: {name} {value} does not fit the header "
+                                 f"(0 to {top})")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, stream.channel, stream.duration_ps,
                               len(stream.tags)))

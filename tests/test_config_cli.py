@@ -432,16 +432,34 @@ class TestCli:
 
     def test_import_loads_no_thread_pool(self):
         # the block pool imports concurrent.futures when it first runs, so
-        # runs that never fill one (model studies, Fock) do not pay for it
+        # runs that never fill one (model studies, Fock) do not pay for it;
+        # the quadrature's Gauss-Legendre rule is literal, so numpy.polynomial
+        # (~5 ms) is not loaded either
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(qfclab.__file__).parents[1])]
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
         script = ("import sys\nimport qfclab, qfclab.cli\n"
-                  "assert 'concurrent.futures' not in sys.modules\n")
+                  "assert 'concurrent.futures' not in sys.modules\n"
+                  "assert 'numpy.polynomial' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("field, value", [("channel", 2 ** 16),
+                                              ("duration_ps", 2 ** 64)])
+    def test_convert_rejects_header_overflow(self, tmp_path, capsys, field, value):
+        # a CSV that reads fine can hold a channel or a duration that the
+        # .qtag header (u16 channel, u64 duration) cannot
+        channel, duration = {"channel": (value, 1000), "duration_ps": (3, value)}[field]
+        src, dst = tmp_path / "x.csv", tmp_path / "y.qtag"
+        src.write_text(f"# qtag-csv v1 duration_ps={duration} channels={channel} "
+                       f"durations_ps={duration}\nchannel,timestamp_ps\n{channel},5\n")
+        assert cli.main(["convert", str(src), str(dst)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {dst}: {field} {value} does not fit the header "
+                       f"(0 to {value - 1})"]
+        assert not dst.exists()
 
     def test_convert_bad_extension(self, tmp_path):
         (tmp_path / "x.txt").write_text("")

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qfclab import spectral
 from qfclab.config import (bundled_losses, bundled_model, narrowline_filter,
                            uv_bandpass, uv_etalon, uv_spectrometer, uv_stack)
-from qfclab.spectral import (C_NM_GHZ, SpectralFilter, _sinc2_shape,
+from qfclab.montecarlo import ScenarioConfig, branch_rates
+from qfclab.scenarios import (compute_noise_sweep, compute_snr_sweep, idler_channel,
+                              output_channel, signal_channel)
+from qfclab.spectral import (_GL_NODES, _GL_WEIGHTS, C_NM_GHZ, SpectralFilter,
+                             _panel_edges, _sinc2_shape, _stack_integrals,
                              band_fraction, cascade_rate, conversion_efficiency,
                              detected_signal_rate, energy_gap, inband_floor_rate,
                              noise_rate, noise_spectrum, sfg_output_wavelength,
@@ -327,10 +332,11 @@ class TestLossBudget:
 
 
 # ---------------------------------------------------------------------------
-# slow oracles for the closed-form rates and the FFT spectrometer blur
+# oracles for the stack overlaps, the closed-form rates and the FFT
+# spectrometer blur
 
 def _oracle_grid(filters, nu0, bandwidth_ghz):
-    # per-call quadrature grid: 0.25 GHz over +-3.2 bandwidths, refined at
+    # the former production grid: 0.25 GHz over +-3.2 bandwidths, refined at
     # 1/40 of the width around every narrow non-etalon filter in the span
     half = 3.2 * bandwidth_ghz
     grids = [np.arange(nu0 - half, nu0 + half, 0.25)]
@@ -348,16 +354,19 @@ def _oracle_sinc2(dnu, bandwidth_ghz):
     return np.sinc(x / np.pi) ** 2
 
 
+def _oracle_norm(bandwidth_ghz):
+    return np.pi * bandwidth_ghz / (2.0 * 1.39155737825151)
+
+
 def _oracle_rates(p, filters, model):
     """(cascade, floor) rates at one pump power: the density times the stack,
-    trapezoid-integrated on a freshly built grid."""
+    trapezoid-integrated on the former 0.25 GHz grid."""
     nu0 = model.output_center_ghz
     bw = model.noise_bandwidth_ghz
     nu = _oracle_grid(filters, nu0, bw)
     dnu = nu - nu0
     t = stack_transmission(filters, nu)
-    dens = model.noise_quad_hz_per_mw2 * p ** 2 * _oracle_sinc2(dnu, bw) \
-        / (np.pi * bw / (2.0 * 1.39155737825151))
+    dens = model.noise_quad_hz_per_mw2 * p ** 2 * _oracle_sinc2(dnu, bw) / _oracle_norm(bw)
     floor = np.where(np.abs(dnu) <= 1.5 * bw,
                      model.noise_floor_density_hz_per_ghz_mw * p, 0.0)
     return float(np.trapezoid(dens * t, nu)), float(np.trapezoid(floor * t, nu))
@@ -368,7 +377,51 @@ def _oracle_band_fraction(filters, center_nm, bandwidth_ghz):
     nu = _oracle_grid(filters, nu0, bandwidth_ghz)
     area = np.trapezoid(_oracle_sinc2(nu - nu0, bandwidth_ghz)
                         * stack_transmission(filters, nu), nu)
-    return float(area / (np.pi * bandwidth_ghz / (2.0 * 1.39155737825151)))
+    return float(area / _oracle_norm(bandwidth_ghz))
+
+
+def _refined_integrals(filters, center_ghz, bandwidth_ghz):
+    """(sinc2, floor) by 16 Gauss-Legendre nodes on each half of every panel
+    of `_panel_edges`. The nodes are offsets from the band centre and each
+    filter is evaluated at its own detuning, so, unlike the production rule,
+    no node is rounded to an absolute frequency (~811,000 GHz, where one ulp
+    is 1.2e-10 GHz)."""
+    edges = _panel_edges(filters, center_ghz, bandwidth_ghz)
+    edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])) - center_ghz
+    x, w = np.polynomial.legendre.leggauss(16)
+    sinc2 = floor = 0.0
+    blocks = -(-len(edges) // 50_000)  # bounded memory for the bare Airy comb
+    for a, b in zip(np.array_split(edges[:-1], blocks), np.array_split(edges[1:], blocks)):
+        half = 0.5 * (b - a)[:, None]
+        dnu = (a[:, None] + half * (x + 1.0)).ravel()
+        weights = (half * w).ravel()
+        t = np.ones_like(dnu)
+        for f in filters:
+            t = t * f.transmission_at_offset(dnu + (center_ghz - f.center_ghz))
+        sinc2 += np.dot(weights, _oracle_sinc2(dnu, bandwidth_ghz) * t)
+        floor += np.dot(weights, np.where(np.abs(dnu) <= 1.5 * bandwidth_ghz, t, 0.0))
+    return sinc2 / _oracle_norm(bandwidth_ghz), floor
+
+
+def _flat_top_integrals(filters, center_ghz, bandwidth_ghz):
+    """(sinc2, floor) in closed form for no filter or one bandpass centred on
+    the band: int_0^X sin^2(u)/u^2 du = Si(2X) - sin^2(X)/X."""
+    from scipy.special import sici
+
+    alpha = 2.0 * 1.39155737825151 / bandwidth_ghz
+
+    def central(half_width):  # unit-area sinc^2 inside +-half_width
+        x = alpha * half_width
+        return 2.0 / np.pi * (sici(2.0 * x)[0] - np.sin(x) ** 2 / x)
+
+    span, extent = 3.2 * bandwidth_ghz, 3.0 * bandwidth_ghz
+    if not filters:
+        return central(span), extent
+    (f,) = filters
+    assert f.kind == "bandpass" and f.center_ghz == center_ghz and f.fwhm_ghz <= extent
+    peak, leak, width = f.peak_transmission, 10.0 ** -f.out_of_band_od, f.fwhm_ghz
+    sinc2 = peak * (leak * central(span) + (1.0 - leak) * central(0.5 * width))
+    return sinc2, peak * width + peak * leak * (extent - width)
 
 
 _ORACLE_STACKS = ("bandpass", "bandpass+etalon", "bandpass+line", "none", "vbg",
@@ -388,11 +441,31 @@ def _oracle_stack(name, model):
     }[name]
 
 
+def _oracle_cases(model):
+    """(name, stack, band centre in GHz, bandwidth) for every oracle stack and
+    both signal-channel stacks, at the device's band and at a narrower
+    off-centre one."""
+    out = []
+    stacks = [(n, _oracle_stack(n, model), model.lambda_output_nm) for n in _ORACLE_STACKS]
+    stacks += [(f"signal{'+vbg' * v}", signal_channel(model, vbg=v).filters,
+                model.lambda_signal_nm) for v in (False, True)]
+    for name, stack, lam in stacks:
+        for center_nm, bw in ((lam, model.noise_bandwidth_ghz), (lam + 0.3, 2000.0)):
+            out.append((name, stack, C_NM_GHZ / center_nm, bw))
+    return out
+
+
 _ORACLE_POWERS = (0.0, 1e-3, 25.0, 200.0, 400.0, 1000.0)
 
 
-def _close(got, want):
-    return abs(got - want) <= 1e-12 * abs(want)
+def _close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * abs(want)
+
+
+# the former 0.25 GHz grid misses each bandpass and floor edge by up to
+# half a step, and under-resolves the far tails of narrow lines: up to
+# 1.8e-5 relative on these stacks (5.7e-5 on the 4 nm signal bandpass)
+_TRAPEZOID_REL = 1e-4
 
 
 class TestClosedFormOracle:
@@ -402,11 +475,12 @@ class TestClosedFormOracle:
         for p in _ORACLE_POWERS:
             casc, floor = _oracle_rates(p, stack, model)
             detector = model.dark_count_rate_hz + model.detector_stray_hz_per_mw * p
-            assert _close(cascade_rate(p, stack, model), casc), p
-            assert _close(inband_floor_rate(p, stack, model), floor), p
-            assert _close(noise_rate(p, stack, model), casc + floor + detector), p
+            assert _close(cascade_rate(p, stack, model), casc, _TRAPEZOID_REL), p
+            assert _close(inband_floor_rate(p, stack, model), floor, _TRAPEZOID_REL), p
+            assert _close(noise_rate(p, stack, model), casc + floor + detector,
+                          _TRAPEZOID_REL), p
             assert _close(noise_rate(p, stack, model, include_detector=False),
-                          casc + floor), p
+                          casc + floor, _TRAPEZOID_REL), p
         assert noise_rate(0.0, stack, model) == model.dark_count_rate_hz
 
     @pytest.mark.parametrize("name", _ORACLE_STACKS)
@@ -415,7 +489,27 @@ class TestClosedFormOracle:
         for center_nm, bw in ((model.lambda_output_nm, model.noise_bandwidth_ghz),
                               (model.lambda_output_nm + 0.3, 2000.0)):
             assert _close(band_fraction(stack, center_nm, bw),
-                          _oracle_band_fraction(stack, center_nm, bw))
+                          _oracle_band_fraction(stack, center_nm, bw), _TRAPEZOID_REL)
+
+    def test_overlaps_match_refined_panels(self, model):
+        # 2x the panels and 2x the nodes agree to 1e-10; the narrow-line
+        # stacks are limited by the rounding of each node's absolute frequency
+        for name, stack, center, bw in _oracle_cases(model):
+            got = _stack_integrals(stack, center, bw)
+            want = _refined_integrals(stack, center, bw)
+            for g, w in zip(got, want):
+                assert _close(g, w, 1e-10), (name, bw, g, w)
+
+    def test_flat_top_overlaps_match_closed_form(self, model):
+        bw = model.noise_bandwidth_ghz
+        cases = [((), model.output_center_ghz, bw), ((), model.output_center_ghz, 2000.0),
+                 (uv_stack(model), model.output_center_ghz, bw)]
+        signal = signal_channel(model).filters
+        cases += [(signal, signal[0].center_ghz, w) for w in (bw, 2000.0)]
+        for stack, center, width in cases:
+            got = _stack_integrals(stack, center, width)
+            for g, w in zip(got, _flat_top_integrals(stack, center, width)):
+                assert _close(g, w), (stack, width, g, w)
 
     @pytest.mark.parametrize("name", _ORACLE_STACKS)
     def test_array_powers_equal_scalar_calls(self, model, name):
@@ -451,10 +545,60 @@ class TestClosedFormOracle:
             base = noise_rate(200.0, stack, model)
             got = noise_rate(200.0, stack, narrow)
             assert got != base
+            detector = narrow.dark_count_rate_hz + narrow.detector_stray_hz_per_mw * 200.0
             casc, floor = _oracle_rates(200.0, stack, narrow)
-            want = casc + floor + narrow.dark_count_rate_hz \
-                + narrow.detector_stray_hz_per_mw * 200.0
-            assert _close(got, want)
+            assert _close(got, casc + floor + detector, _TRAPEZOID_REL)
+            sinc2, floor = _refined_integrals(stack, narrow.output_center_ghz, 4000.0)
+            want = narrow.noise_quad_hz_per_mw2 * 200.0 ** 2 * sinc2 \
+                + narrow.noise_floor_density_hz_per_ghz_mw * 200.0 * floor + detector
+            assert _close(got, want, 1e-10)
+
+
+class TestQuadratureRule:
+    def test_nodes_are_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(8)
+        assert np.max(np.abs(_GL_NODES - x)) <= 1e-15
+        assert np.max(np.abs(_GL_WEIGHTS - w)) <= 1e-15
+
+    def test_panels_cut_at_every_discontinuity(self, model):
+        center, bw = model.output_center_ghz, model.noise_bandwidth_ghz
+        stack = uv_stack(model, etalon=True) + (narrowline_filter(model),)
+        edges = _panel_edges(stack, center, bw)
+        assert edges[0] == center - 3.2 * bw and edges[-1] == center + 3.2 * bw
+        assert np.all(np.diff(edges) > 0)
+        bp = stack[0]
+        for cut in (center - 1.5 * bw, center + 1.5 * bw,
+                    bp.center_ghz - 0.5 * bp.fwhm_ghz, bp.center_ghz + 0.5 * bp.fwhm_ghz,
+                    center, center + 0.0025, center - 0.0025 * 2 ** 18):
+            assert np.any(edges == cut), cut
+        widths = np.diff(edges)
+        assert widths.max() <= bw / 20 * (1 + 1e-12)
+        near = np.abs(0.5 * (edges[1:] + edges[:-1]) - center) < 5 * 340.0
+        assert widths[near].max() <= 2.75 * (1 + 1e-12)
+
+    def test_scenario_stacks_use_few_nodes(self, monkeypatch, model, losses):
+        """Every stack the scenarios integrate (the noise and SNR sweeps, the
+        narrowline anchor and the coincidence channels' pair acceptance) is
+        integrated on at most 16,384 nodes; the former 0.25 GHz grid used
+        336,384. The bare Airy comb of `_ORACLE_STACKS` is exempt: with an
+        inf envelope every tooth across the span is resolved (~245k nodes),
+        which is correct but slow, and no scenario uses it."""
+        lengths = []
+        inner = spectral.stack_transmission
+
+        def recorded(filters, frequency_ghz):
+            lengths.append(np.size(frequency_ghz))
+            return inner(filters, frequency_ghz)
+
+        monkeypatch.setattr(spectral, "stack_transmission", recorded)
+        compute_snr_sweep(model, losses, {}, seed=1)
+        compute_noise_sweep(model, losses, {"n_seeds": 1}, seed=1)
+        for channels in ({"signal": signal_channel(model), "idler": idler_channel(model)},
+                         {"signal": signal_channel(model, vbg=True),
+                          "output": output_channel(model, losses)}):
+            branch_rates(ScenarioConfig(200.0, 1.0, 1, channels), model)
+        assert len(lengths) == 8
+        assert max(lengths) <= 16_384, lengths
 
 
 def _oracle_spectrum(p, filters, model, edges, floor_per_bin_hz=0.0):
