@@ -43,13 +43,21 @@ def _result(name, passed, detail, printer=None):
     return res
 
 
-def _scenario_gate(name, model, losses, printer, runs, only=None):
+def _scenario_gate(name, model, losses, printer, runs, only=None, computed=None):
     """Gate on the checks of scenario computations: `runs` lists
     (compute_*, seed) pairs, and `only` the check-name prefixes that count
-    (all checks when None). The detail joins the scenario's own wording."""
-    checks = [c for compute, seed in runs
-              for c in compute(model, losses, {}, seed)["checks"]
-              if only is None or c["name"].startswith(only)]
+    (all checks when None). The detail joins the scenario's own wording.
+
+    `computed` is a battery's memo of scenario results by (compute_*,
+    seed): a pair that several gates of one battery read runs once."""
+    computed = {} if computed is None else computed
+    checks = []
+    for run in runs:
+        if run not in computed:
+            compute, seed = run
+            computed[run] = compute(model, losses, {}, seed)
+        checks += [c for c in computed[run]["checks"]
+                   if only is None or c["name"].startswith(only)]
     return _result(name, all(c["passed"] for c in checks),
                    "; ".join(c["detail"] for c in checks), printer)
 
@@ -131,26 +139,27 @@ def check_fock_engine(model, losses, printer=None):
                    printer)
 
 
-def check_efficiency_calibration(model, losses, printer=None):
+def check_efficiency_calibration(model, losses, printer=None, computed=None):
     return _scenario_gate("efficiency-calibration", model, losses, printer,
-                          [(compute_efficiency_sweep, 0)])
+                          [(compute_efficiency_sweep, 0)], computed=computed)
 
 
-def check_noise_scaling(model, losses, printer=None):
+def check_noise_scaling(model, losses, printer=None, computed=None):
     return _scenario_gate("noise-scaling-exponents", model, losses, printer,
                           [(compute_noise_sweep, derive_seed(12345, "noise_sweep"))],
-                          only="noise_exponent")
+                          only="noise_exponent", computed=computed)
 
 
-def check_noise_floor_anchors(model, losses, printer=None):
+def check_noise_floor_anchors(model, losses, printer=None, computed=None):
     return _scenario_gate("noise-floor-anchors", model, losses, printer,
                           [(compute_noise_sweep, derive_seed(12345, "noise_sweep"))],
-                          only=("dark_floor", "narrowline_noise"))
+                          only=("dark_floor", "narrowline_noise"), computed=computed)
 
 
-def check_snr_sweep(model, losses, printer=None):
+def check_snr_sweep(model, losses, printer=None, computed=None):
     return _scenario_gate("snr-etalon-sweep", model, losses, printer,
-                          [(compute_snr_sweep, derive_seed(12345, "snr_sweep"))])
+                          [(compute_snr_sweep, derive_seed(12345, "snr_sweep"))],
+                          computed=computed)
 
 
 # -- correlator correctness --------------------------------------------------
@@ -288,15 +297,16 @@ def check_dead_time_oracle(model, losses, printer=None):
     return _result("dead-time-oracle-agreement", not mismatched, detail, printer)
 
 
-def check_nonclassical_correlations(model, losses, printer=None):
+def check_nonclassical_correlations(model, losses, printer=None, computed=None):
     return _scenario_gate("nonclassical-correlations", model, losses, printer,
                           [(compute_coincidence_si, derive_seed(12345, "coincidence_si")),
-                           (compute_coincidence_so, derive_seed(12345, "coincidence_so"))])
+                           (compute_coincidence_so, derive_seed(12345, "coincidence_so"))],
+                          computed=computed)
 
 
-def check_noise_spectrum_shape(model, losses, printer=None):
+def check_noise_spectrum_shape(model, losses, printer=None, computed=None):
     return _scenario_gate("noise-spectrum-shape", model, losses, printer,
-                          [(compute_noise_spectrum, 0)])
+                          [(compute_noise_spectrum, 0)], computed=computed)
 
 
 def check_throughput(model, losses, printer=None):
@@ -354,10 +364,19 @@ ENGINE_CHECKS = (check_energy_conservation, check_fock_engine,
                  check_correlator_oracle, check_dead_time_oracle, check_throughput)
 
 
+def _run_checks(checks, model, losses, printer):
+    """Run checks in order; the scenario gates (every check outside
+    ENGINE_CHECKS) share one memo, so each (compute_*, seed) runs once."""
+    computed = {}
+    return [chk(model, losses, printer=printer) if chk in ENGINE_CHECKS
+            else chk(model, losses, printer=printer, computed=computed)
+            for chk in checks]
+
+
 def run_all(model=None, losses=None, printer=print):
     model = model if model is not None else bundled_model()
     losses = losses if losses is not None else bundled_losses()
-    return [chk(model, losses, printer=printer) for chk in ALL_CHECKS]
+    return _run_checks(ALL_CHECKS, model, losses, printer)
 
 
 def run_for_manifest(manifest, model=None, losses=None, printer=print):
@@ -376,4 +395,4 @@ def run_for_manifest(manifest, model=None, losses=None, printer=print):
         for chk in KIND_CHECKS.get(sc.kind, ()):
             if chk not in selected:
                 selected.append(chk)
-    return [chk(model, losses, printer=printer) for chk in selected]
+    return _run_checks(selected, model, losses, printer)

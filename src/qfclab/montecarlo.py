@@ -8,19 +8,32 @@ generator samples the five detectable thinnings of that process directly
 (coincident and single-detection branches), which is statistically exact
 and avoids materializing undetected pairs. Uncorrelated backgrounds (dark
 counts, pump-induced luminescence, converted input light) are independent
-Poisson streams merged in afterwards. Per-tag Gaussian timing jitter and a
-non-paralyzable detector dead time are applied last.
+Poisson streams merged in afterwards. A non-paralyzable detector dead time
+is applied last.
 
-Determinism: the acquisition is generated in fixed 1 s slices, each seeded
-by SeedSequence(seed, slice_index, stream_index). `generate_streams` runs
-the slices concurrently on the block pool of `_kernels._map_blocks`, one
+Gaussian timing jitter is drawn only for the two coincident branches
+('s+o', 's+i'), independently on each channel a branch reaches. Every other
+branch is an independent Poisson stream on its channel, and by the
+displacement theorem a Poisson process whose points move by i.i.d. offsets
+is a Poisson process of the same rate: jitter there would change no
+statistic of the streams, only the bits. It is visible only as the width
+of the coincidence peak, which the jittered pair branches carry.
+
+Determinism: the acquisition is generated in fixed 1 s slices, each stream
+seeded by SeedSequence(seed, slice_index, stream_index), where
+stream_index is the position of the stream's name in `_STREAM_ORDER`:
+first the nine Poisson branches (their uniform times), then one jitter
+stream per (coincident branch, channel) pair. `generate_streams` runs the
+slices concurrently on the block pool of `_kernels._map_blocks`, one
 contiguous block of slices per worker and at most one worker per CPU this
 process may use. Each slice comes back rounded and sorted in int64 per
 channel, and the slices are joined in slice order, so the streams are
-bitwise identical for any number of workers. The slice workers only
-sample, round and sort, where numpy releases the GIL. The rates and the
-outer call of the dead-time filter run on the calling thread; the filter
-masks the parts of a long stream on the same pool, after the slices.
+bitwise identical for any number of workers. Only a jittered pair tag can
+cross a slice junction, and then the joined stream is sorted again. The
+slice workers only sample, round and sort, where numpy releases the GIL.
+The rates and the outer call of the dead-time filter run on the calling
+thread; the filter masks the parts of a long stream on the same pool,
+after the slices.
 """
 
 import math
@@ -192,9 +205,12 @@ def expected_rates(scenario, model):
     return out
 
 
+# the SeedSequence stream index of each random stream of a slice: its
+# position here. Changing the order changes every stream's bits.
 _STREAM_ORDER = ("s+o", "s+i", "s_only", "o_only", "i_only",
                  "bg_signal", "bg_idler", "bg_output", "input_o",
-                 "jitter_signal", "jitter_idler", "jitter_output")
+                 "jitter_s+o_signal", "jitter_s+o_output",
+                 "jitter_s+i_signal", "jitter_s+i_idler")
 
 
 def _slice_rng(seed, slice_index, stream_index):
@@ -217,35 +233,39 @@ _BRANCH_CHANNELS = {
     "bg_output": ("output",),
     "input_o": ("output",),
 }
+_JITTERED = ("s+o", "s+i")
 
 
 def _slice_tags(scenario, rates, k):
     """Slice k of the acquisition: {channel: sorted int64 ps tags}.
 
-    Tags are jittered and rounded but not yet cut to the acquisition, so a
-    tag jittered across either end of the slice is kept.
+    Tags are rounded but not yet cut to the acquisition, so a pair tag
+    jittered across either end of the slice is kept.
     """
     t0 = k * _SLICE_S
     t1 = min((k + 1) * _SLICE_S, scenario.duration_s)
     parts = {name: [] for name in scenario.channels}
-    for si, stream in enumerate(_STREAM_ORDER):
-        if stream.startswith("jitter"):
-            continue
+    for stream, branch_channels in _BRANCH_CHANNELS.items():
         rate = rates.get(stream, 0.0)
-        channels = [c for c in _BRANCH_CHANNELS[stream] if c in scenario.channels]
+        channels = [c for c in branch_channels if c in scenario.channels]
         if rate <= 0 or not channels:
             continue
-        times = _poisson_times(_slice_rng(scenario.seed, k, si), rate, t0, t1)
+        times = _poisson_times(_slice_rng(scenario.seed, k, _STREAM_ORDER.index(stream)),
+                               rate, t0, t1)
         for c in channels:
-            parts[c].append(times)
+            cfg = scenario.channels[c]
+            if stream in _JITTERED and cfg.jitter_fwhm_ps > 0:
+                rng = _slice_rng(scenario.seed, k,
+                                 _STREAM_ORDER.index(f"jitter_{stream}_{c}"))
+                sigma_ps = cfg.jitter_fwhm_ps / 2.3548200450309493
+                parts[c].append(times + rng.normal(0.0, sigma_ps, len(times)))
+            else:
+                parts[c].append(times)
     out = {}
-    for c, cfg in scenario.channels.items():
-        if not parts[c]:
+    for c, channel_parts in parts.items():
+        if not channel_parts:
             continue
-        raw = np.concatenate(parts[c])          # a new array: safe to update in place
-        if cfg.jitter_fwhm_ps > 0:
-            rng = _slice_rng(scenario.seed, k, _STREAM_ORDER.index(f"jitter_{c}"))
-            raw += rng.normal(0.0, cfg.jitter_fwhm_ps / 2.3548200450309493, len(raw))
+        raw = np.concatenate(channel_parts)     # a new array: safe to update in place
         # sorted as floats (faster here than as int64), then rounded: rint
         # keeps the order, so the int64 tags come out sorted
         raw.sort()
@@ -278,7 +298,7 @@ def generate_streams(scenario, model):
         parts = [s.pop(c) for s in slices if c in s]
         t = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         del parts
-        # only a tag jittered across a slice junction leaves t unsorted
+        # only a pair tag jittered across a slice junction leaves t unsorted
         if not is_sorted(t):
             t.sort(kind="stable")
         lo, hi = np.searchsorted(t, (0, duration_ps))

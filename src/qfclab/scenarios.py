@@ -54,10 +54,17 @@ class Scenario:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ScenarioError(f"scenario {self.name!r}: params must be an object")
-        unknown = sorted(set(self.params) - set(PARAM_KEYS[self.kind]))
+        keys = PARAM_KEYS[self.kind]
+        unknown = sorted(set(self.params) - set(keys))
         if unknown:
             raise ScenarioError(f"scenario {self.name!r} ({self.kind}): unknown params "
-                                f"{unknown}; accepted {list(PARAM_KEYS[self.kind])}")
+                                f"{unknown}; accepted {list(keys)}")
+        if isinstance(keys, dict):
+            for key, (wanted, valid) in keys.items():
+                if key in self.params and not valid(self.params[key]):
+                    raise ScenarioError(f"scenario {self.name!r} ({self.kind}): param "
+                                        f"{key!r} must be {wanted}, got "
+                                        f"{self.params[key]!r}")
 
 
 @dataclass
@@ -412,9 +419,27 @@ _COMPUTE = {
     "fock_demo": compute_fock_demo,
 }
 
+
+def _is_number(value):
+    """An int or a finite float, as JSON gives them; not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
 # the params keys each kind's compute_* function reads (a test pins them to
-# the code); Scenario rejects any other key
-_COINCIDENCE_KEYS = ("pump_power_mw", "duration_s", "bin_width_ps", "window_ns")
+# the code); Scenario rejects any other key, and a key given as
+# {key: (what it must be, check)} also any value that fails the check
+_COINCIDENCE_KEYS = {
+    "pump_power_mw": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+    "duration_s": ("a number > 0", lambda v: _is_number(v) and v > 0),
+    "bin_width_ps": ("an integer >= 1",
+                     lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
+    "window_ns": ("a number > 0", lambda v: _is_number(v) and v > 0),
+}
 PARAM_KEYS = {
     "efficiency_sweep": ("powers_mw",),
     "snr_sweep": ("powers_mw", "acquisition_s", "etalon"),

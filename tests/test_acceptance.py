@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from qfclab import acceptance, fock
+from qfclab import acceptance, fock, scenarios
 from qfclab.config import bundled_losses, bundled_model
 
 _MODEL = bundled_model()
@@ -58,3 +58,23 @@ def test_fock_gate_reads_the_engines_pair_block(monkeypatch):
     result = acceptance.check_fock_engine(_MODEL, _LOSSES)
     assert not result.passed
     assert _clause(result.detail, "closed-form deviation at A=1, n_max=40") > 1e-6
+
+
+def test_battery_runs_each_scenario_once(monkeypatch):
+    # both noise gates read the same noise sweep: one battery computes it once,
+    # and the detail lines read as when each gate runs alone
+    alone = [acceptance.check_noise_scaling(_MODEL, _LOSSES).detail,
+             acceptance.check_noise_floor_anchors(_MODEL, _LOSSES).detail]
+    calls = []
+    original = acceptance.compute_noise_sweep
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+    monkeypatch.setattr(acceptance, "compute_noise_sweep", counting)
+    monkeypatch.setattr(acceptance, "ENGINE_CHECKS", ())
+    manifest = scenarios.RunManifest([scenarios.Scenario("ns", "noise_sweep")])
+    results = acceptance.run_for_manifest(manifest, _MODEL, _LOSSES, printer=None)
+    assert [r.detail for r in results] == alone
+    assert all(r.passed for r in results)
+    assert len(calls) == 1

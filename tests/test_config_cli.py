@@ -555,6 +555,50 @@ class TestManifest:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["coincidence_si", "coincidence_so"])
+    @pytest.mark.parametrize("key, value", [
+        ("pump_power_mw", -0.5), ("pump_power_mw", "200"), ("pump_power_mw", None),
+        ("duration_s", 0), ("duration_s", "x"), ("duration_s", None),
+        ("duration_s", math.inf), ("duration_s", True),
+        ("bin_width_ps", 0), ("bin_width_ps", 165.0), ("bin_width_ps", False),
+        ("window_ns", -20.0), ("window_ns", math.nan), ("window_ns", [20]),
+    ])
+    def test_bad_coincidence_param_is_named(self, kind, key, value):
+        data = {"scenarios": [{"name": "cc", "kind": kind, "params": {key: value}}]}
+        with pytest.raises(ScenarioError, match=rf"scenario 'cc' \({kind}\): param "
+                                                rf"'{key}' must be"):
+            manifest_from_dict(data)
+
+    def test_good_coincidence_params_are_accepted(self):
+        params = {"pump_power_mw": 0, "duration_s": 0.5, "bin_width_ps": 1,
+                  "window_ns": 2}
+        m = manifest_from_dict({"scenarios": [{"name": "cc", "kind": "coincidence_si",
+                                               "params": params}]})
+        assert m.scenarios[0].params == params
+
+    @pytest.mark.parametrize("params", [{"bin_width_ps": 0}, {"duration_s": "x"},
+                                        {"duration_s": None}])
+    def test_cli_bad_coincidence_param_exits_config_without_traceback(self, tmp_path,
+                                                                      params):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"scenarios": [
+            {"name": "cc", "kind": "coincidence_so", "params": params}]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qfclab.__file__).parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfclab.cli", "run", "--manifest", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: scenario 'cc'"), proc.stderr
+        assert repr(next(iter(params))) in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_default_covers_all_kinds(self):
         from qfclab.scenarios import KINDS
         m = default_manifest()

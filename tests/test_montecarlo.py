@@ -211,6 +211,88 @@ class TestGeneration:
                 assert np.array_equal(got, want), (k, c)
 
 
+class TestGeneratorStatistics:
+    """Statistical checks of the streams; each bound is stated in advance."""
+
+    def test_counts_per_window_have_fano_factor_one(self, model):
+        # without dead time every channel is a superposition of independent
+        # Poisson branches, jittered or not: counts in 1 ms windows have
+        # variance = mean. For M windows of Poisson mean m, the Fano factor
+        # has sd sqrt((2 + 1/m) / (M - 1)); the bound is 5 sd.
+        sc = pair_scenario(3.0, 31, dead_time_ns=0.0)
+        windows = 3000
+        for c, stream in generate_streams(sc, model).items():
+            counts = np.bincount(stream.tags // 10 ** 9, minlength=windows)
+            assert len(counts) == windows and counts.mean() > 1, c
+            fano = counts.var(ddof=1) / counts.mean()
+            bound = 5.0 * math.sqrt((2.0 + 1.0 / counts.mean()) / (windows - 1))
+            assert abs(fano - 1.0) <= bound, (c, fano)
+
+    def test_coincidence_peak_width_matches_the_two_fwhms(self, model):
+        # lossless paths, no background, no dead time, three different
+        # jitters: each pair peak has sigma^2 = sigma_a^2 + sigma_b^2 (+1/6 ps^2
+        # from rounding both tags). The accidentals (~0.5% of the s+i window,
+        # less for s+o) are subtracted at N_a N_b w / T per bin. With >= 10,000
+        # pairs the sd of the measured sigma is < 1%; the bound is 5%.
+        fwhm = {"signal": 300.0, "idler": 500.0, "output": 700.0}
+        channels = {c: ChannelConfig(losses=lossless_budget(), jitter_fwhm_ps=f,
+                                     dead_time_ns=0.0) for c, f in fwhm.items()}
+        sc = ScenarioConfig(pump_power_mw=5.0, duration_s=2.0, seed=17, channels=channels)
+        streams = generate_streams(sc, model)
+        a = streams["signal"]
+        for other in ("idler", "output"):
+            b = streams[other]
+            sigma = math.hypot(fwhm["signal"], fwhm[other]) / 2.3548200450309493
+            width = 10
+            half = int(6 * sigma) // width * width
+            counts = _kernels.pair_histogram(a.tags, b.tags, -half, half, width)
+            counts = counts - len(a) * len(b) * width / (sc.duration_s * 1e12)
+            tau = -half + width * (np.arange(len(counts)) + 0.5)
+            n = counts.sum()
+            assert n >= 10_000, other
+            mean = (counts * tau).sum() / n
+            var = (counts * tau ** 2).sum() / n - mean ** 2 - width ** 2 / 12
+            assert abs(mean) <= 5 * sigma / math.sqrt(n), (other, mean)
+            assert abs(math.sqrt(var) / math.hypot(sigma, math.sqrt(1 / 6)) - 1) <= 0.05, \
+                (other, math.sqrt(var), sigma)
+
+    @pytest.mark.parametrize("kind", ["coincidence_si", "coincidence_so"])
+    def test_singles_match_expected_rates(self, model, kind):
+        # the channel sets of both coincidence scenarios, dead time off:
+        # each channel's count is Poisson with mean r T, bound 5 sd
+        from dataclasses import replace
+        from qfclab.scenarios import idler_channel, output_channel, signal_channel
+        high = kind == "coincidence_so"
+        channels = {"signal": signal_channel(model, vbg=high),
+                    "output" if high else "idler":
+                        output_channel(model, bundled_losses()) if high
+                        else idler_channel(model)}
+        channels = {k: replace(v, dead_time_ns=0.0) for k, v in channels.items()}
+        sc = ScenarioConfig(pump_power_mw=200.0 if high else 0.4,
+                            duration_s=2.0 if high else 10.0, seed=23, channels=channels)
+        streams = generate_streams(sc, model)
+        for c, rate in expected_rates(sc, model).items():
+            target = rate * sc.duration_s
+            assert abs(len(streams[c]) - target) <= 5.0 * math.sqrt(target), c
+
+    def test_background_only_channel_is_not_jittered(self, model):
+        # a channel fed only by its dark counts keeps the rint of its stream's
+        # uniform draws, although its jitter is on
+        ch = ChannelConfig(losses=lossless_budget(), dark_hz=20_000.0,
+                           jitter_fwhm_ps=350.0, dead_time_ns=0.0)
+        sc = ScenarioConfig(pump_power_mw=0.0, duration_s=2.5, seed=8,
+                            channels={"output": ch})
+        stream = montecarlo._STREAM_ORDER.index("bg_output")
+        want = []
+        for k, (t0, t1) in enumerate([(0.0, 1.0), (1.0, 2.0), (2.0, 2.5)]):
+            times = montecarlo._poisson_times(montecarlo._slice_rng(8, k, stream),
+                                              20_000.0, t0, t1)
+            want.append(np.sort(np.rint(times)).astype(np.int64))
+        got = generate_streams(sc, model)["output"].tags
+        assert len(got) > 40_000
+        assert np.array_equal(got, np.concatenate(want))
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("field", ["jitter_fwhm_ps", "dead_time_ns", "dark_hz",
                                        "luminescence_hz_per_mw"])
@@ -231,14 +313,14 @@ class TestNonFiniteInputs:
 def serial_generate_streams(scenario, model):
     """The serial generator that the threaded one replaced: every slice kept
     as float64 on one thread, then per channel one global rint and sort,
-    a range mask and the dead-time filter."""
+    a range mask and the dead-time filter. Each coincident branch is
+    jittered per channel from its own stream; no other branch is jittered."""
     rates = branch_rates(scenario, model)
     n_slices = max(1, math.ceil(scenario.duration_s / montecarlo._SLICE_S))
     per_channel = {name: [] for name in scenario.channels}
     for k in range(n_slices):
         t0 = k * montecarlo._SLICE_S
         t1 = min((k + 1) * montecarlo._SLICE_S, scenario.duration_s)
-        slice_tags = {name: [] for name in scenario.channels}
         for si, stream in enumerate(montecarlo._STREAM_ORDER):
             if stream.startswith("jitter"):
                 continue
@@ -250,17 +332,14 @@ def serial_generate_streams(scenario, model):
             times = montecarlo._poisson_times(montecarlo._slice_rng(scenario.seed, k, si),
                                               rate, t0, t1)
             for c in channels:
-                slice_tags[c].append(times)
-        for c in scenario.channels:
-            if not slice_tags[c]:
-                continue
-            raw = np.concatenate(slice_tags[c])
-            jit_fwhm = scenario.channels[c].jitter_fwhm_ps
-            if jit_fwhm > 0:
-                si = montecarlo._STREAM_ORDER.index(f"jitter_{c}")
-                rng = montecarlo._slice_rng(scenario.seed, k, si)
-                raw = raw + rng.normal(0.0, jit_fwhm / 2.3548200450309493, len(raw))
-            per_channel[c].append(raw)
+                jit_fwhm = scenario.channels[c].jitter_fwhm_ps
+                if stream in ("s+o", "s+i") and jit_fwhm > 0:
+                    ji = montecarlo._STREAM_ORDER.index(f"jitter_{stream}_{c}")
+                    rng = montecarlo._slice_rng(scenario.seed, k, ji)
+                    per_channel[c].append(
+                        times + rng.normal(0.0, jit_fwhm / 2.3548200450309493, len(times)))
+                else:
+                    per_channel[c].append(times)
     duration_ps = round(scenario.duration_s * 1e12)
     out = {}
     for c, cfg in scenario.channels.items():
