@@ -6,8 +6,11 @@ in ``acceptance.py`` (``_oracle_outer``/``_oracle_edges`` for the pair
 histogram, ``_oracle_dead_time`` for the dead-time filter) and checked by
 the acceptance battery and the property tests.
 
-`pair_histogram` runs one searchsorted per tag for the first partner of its
-window and bins the pairs while it steps through the window: a tag whose
+`pair_histogram` finds the first partner of each window by merging a chunk
+of tags with its span of the second stream in one stable sort (a tag's
+rank is its merged position minus its index), and keeps a searchsorted per
+tag only where the span is more than _MERGE_DENSITY times denser than the
+chunk. It bins the pairs while it steps through the window: a tag whose
 window is empty drops out in the first round, and only the rare tags whose
 window holds more than a few partners search for its end and gather the
 rest. The auto-correlation at tau_min == 0 needs no search at all: tag i's
@@ -35,8 +38,10 @@ import numpy as np
 
 PAIR_CHUNK = 1 << 16        # tags of `a` per pair_histogram chunk: bounds its temporaries
 _STEP_ROUNDS = 4            # stepping rounds after the first partner, before the fallback
+_MERGE_DENSITY = 5          # span tags per chunk tag above which `_ranks` searches: the break-even
 _DEAD_TIME_PART = 1 << 18   # fewest tags in a dead_time_mask part: shorter runs stay serial
 _GAP_CHUNK = 1 << 16        # gaps per pass of a dead_time_mask part: bounds its temporaries
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def _usable_cpus():
@@ -88,17 +93,22 @@ def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     [tau_min, tau_max), binned as (tau - tau_min) // bin_width.
 
     a and b are sorted int64 ps and the window is a whole number of bins.
-    The tags of a go in chunks of PAIR_CHUNK, and the chunks in contiguous
-    blocks on the pool (`_map_blocks`); each block keeps its own int64
-    counts, and the blocks' counts are summed in block order. Per chunk,
-    one searchsorted gives lo, the first b at or after a + tau_min. The
-    pairs are binned by bincount while each window is stepped: round 0 bins
-    the pair (i, lo) of the tags with b[lo] < a + tau_max and drops the
-    rest, and each of the _STEP_ROUNDS rounds after it moves lo on by one
-    and bins the pairs still inside the window. Only the tags still inside
-    it after the last round, those with _STEP_ROUNDS + 1 partners or more,
-    search for the window's end and gather their remaining pairs by flat
-    index into b.
+    The values a + tau_min, a + tau_max and b must lie in int64 and less
+    than 2**63 ps apart, so that no difference the kernel takes wraps;
+    anything else raises ValueError (checked on the end tags). The tags of
+    a go in chunks of PAIR_CHUNK, and the chunks in contiguous blocks on
+    the pool (`_map_blocks`); each block keeps its own int64 counts, and
+    the blocks' counts are summed in block order. Per chunk, `_ranks`
+    gives lo, the first b at or after a + tau_min: a stable sort merges the
+    chunk with the span of b its windows start in, or, where that span
+    holds more than _MERGE_DENSITY tags per chunk tag, a searchsorted per
+    tag finds lo. The pairs are binned by bincount while each window is
+    stepped: round 0 bins the pair (i, lo) of the tags with
+    b[lo] < a + tau_max and drops the rest, and each of the _STEP_ROUNDS
+    rounds after it moves lo on by one and bins the pairs still inside the
+    window. Only the tags still inside it after the last round, those with
+    _STEP_ROUNDS + 1 partners or more, search for the window's end and
+    gather their remaining pairs by flat index into b.
 
     exclude_self skips the pairs with i == j and needs ``b is a`` and
     tau_min >= 0; anything else raises ValueError. For tau_min > 0 no
@@ -109,6 +119,12 @@ def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     """
     if exclude_self and (b is not a or tau_min < 0):
         raise ValueError("exclude_self needs b to be a and tau_min >= 0")
+    if len(a) and len(b):
+        lowest = min(int(a[0]) + int(tau_min), int(b[0]))
+        highest = max(int(a[-1]) + int(tau_max), int(b[-1]))
+        if lowest < _INT64_MIN or highest > _INT64_MAX or highest - lowest > _INT64_MAX:
+            raise ValueError(f"a + tau_min, a + tau_max and b span [{lowest}, {highest}] "
+                             "ps; they must lie in int64 and less than 2**63 ps apart")
     tau_min, width = np.int64(tau_min), np.int64(tau_max) - np.int64(tau_min)
     bin_width = np.int64(bin_width)
     counts = np.zeros(int(width // bin_width), dtype=np.int64)
@@ -138,9 +154,9 @@ def _pair_counts(a, b, start, stop, chunk, tau_min, width, bin_width, after_self
         if after_self:
             lo = np.arange(first + 1, first + 1 + len(t))
         else:
-            # every lo of the chunk lies in [off, end]: search that span only
+            # every lo of the chunk lies in [off, end]: rank t in that span only
             off, end = np.searchsorted(b, t[[0, -1]], side="left")
-            lo = np.searchsorted(b[off:end], t, side="left")
+            lo = _ranks(t, b[off:end])
             lo += off
         for _ in range(_STEP_ROUNDS + 1):
             # lo never decreases, so the windows that have run past b are a suffix
@@ -154,6 +170,37 @@ def _pair_counts(a, b, start, stop, chunk, tau_min, width, bin_width, after_self
         j = np.arange(int(n.sum())) + np.repeat(lo - starts, n)
         counts += np.bincount((b[j] - np.repeat(t, n)) // bin_width, minlength=nbins)
     return counts
+
+
+def _ranks(t, s):
+    """np.searchsorted(s, t, side="left") for sorted int64 t and s, every s
+    in [t[0], t[-1]] and t[-1] - t[0] < 2**63.
+
+    With at most _MERGE_DENSITY tags of s per tag of t, the ranks come from
+    one merge: the chunk-relative uint64 keys 2 (t - t[0]) and
+    2 (s - t[0]) + 1 put each t before the s of equal value (the "left"
+    rule), a stable sort (timsort) merges the two sorted runs in linear
+    time, and the position of the i-th even key minus i is the rank of
+    t[i]. Denser s is searched, since the merge reads all of it. The keys
+    are a fresh array per call: freed before the window is stepped, their
+    memory serves its temporaries (a key array kept for a whole block
+    raised tag_analysis' peak RSS twice as much).
+    """
+    n, m = len(t), len(s)
+    if m > _MERGE_DENSITY * n:
+        return np.searchsorted(s, t, side="left")
+    keys = np.empty(n + m, np.uint64)
+    # differences taken in uint64 wrap back to the exact offsets below 2**63
+    t0 = t[:1].view(np.uint64)
+    np.subtract(t.view(np.uint64), t0, out=keys[:n])
+    np.subtract(s.view(np.uint64), t0, out=keys[n:])
+    keys <<= 1
+    keys[n:] |= 1
+    keys.sort(kind="stable")
+    keys &= 1
+    ranks = np.flatnonzero(keys == 0)
+    ranks -= np.arange(n)
+    return ranks
 
 
 def dead_time_mask(tags, dead_ps):

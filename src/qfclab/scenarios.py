@@ -65,6 +65,14 @@ class Scenario:
                     raise ScenarioError(f"scenario {self.name!r} ({self.kind}): param "
                                         f"{key!r} must be {wanted}, got "
                                         f"{self.params[key]!r}")
+        if keys is _COINCIDENCE_KEYS:
+            # the correlator needs 3 bins or more, and the window holds 2 * half
+            bin_ps, window_ns, half_bins = _coincidence_window(self.params)
+            if half_bins < 2:
+                raise ScenarioError(
+                    f"scenario {self.name!r} ({self.kind}): params 'window_ns' "
+                    f"{window_ns!r} and 'bin_width_ps' {bin_ps!r} give "
+                    f"round(window_ns * 1e3 / bin_width_ps) = {half_bins}; it must be >= 2")
 
 
 @dataclass
@@ -318,12 +326,19 @@ def compute_noise_spectrum(model, losses, params, seed):
             "checks": checks}
 
 
+def _coincidence_window(params):
+    """(bin_width_ps, window_ns, half window in whole bins) of a coincidence
+    scenario; its histogram runs from -half to +half, 2 * half bins."""
+    bin_ps = params.get("bin_width_ps", 165)
+    window_ns = params.get("window_ns", 20.0)
+    return bin_ps, window_ns, int(round(window_ns * 1e3 / bin_ps))
+
+
 def _coincidence_common(model, losses, params, seed, high_pump):
     p = params.get("pump_power_mw", 200.0 if high_pump else 0.4)
     duration = params.get("duration_s", 20.0 if high_pump else 30.0)
-    bin_ps = params.get("bin_width_ps", 165)
-    half_ns = params.get("window_ns", 20.0)
-    half_ps = int(round(half_ns * 1e3 / bin_ps)) * bin_ps
+    bin_ps, _, half_bins = _coincidence_window(params)
+    half_ps = half_bins * bin_ps
 
     channels = {"signal": signal_channel(model, vbg=high_pump),
                 "output" if high_pump else "idler":

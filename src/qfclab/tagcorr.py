@@ -1,11 +1,14 @@
 """Coincidence analysis of time-tag streams.
 
 The correlator counts ordered pairs (t_a, t_b) with tau = t_b - t_a inside a
-half-open window [tau_min, tau_max) with `_kernels.pair_histogram`: one
-searchsorted per tag of the first stream finds the start of its window in
-the sorted second stream, and the pairs are binned while the window is
-stepped from there, so the tags with an empty window drop out in the first
-round; only tags with more than a few partners search for the window's end.
+half-open window [tau_min, tau_max) with `_kernels.pair_histogram`. The
+start of each tag's window in the sorted second stream comes from one
+stable sort per chunk, which merges the chunk's shifted tags with the span
+of the second stream they fall in; where that span is much denser than the
+chunk (`_kernels._MERGE_DENSITY`), a searchsorted per tag finds it instead.
+The pairs are binned while the window is stepped from there, so the tags
+with an empty window drop out in the first round; only tags with more than
+a few partners search for the window's end.
 The auto-correlation does no search: a tag's window starts at the next tag,
 and the pairs of equal timestamps, all at tau = 0, are counted in closed
 form. The kernel takes the first stream in chunks of

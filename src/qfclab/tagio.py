@@ -34,7 +34,8 @@ lines are skipped and the last row may lack its line end. Anything else
 outside int64) raises TagFormatError naming the reason and the 1-based
 line of the file. So does a comment-line value that is not digits (a "-"
 allowed). Tags out of order, or at or past their duration, raise
-TagFormatError naming the file and the CSV channel or the .qtag tag index.
+TagFormatError naming the file and, for a CSV, the 1-based line of the
+first such tag and its channel, or, for a .qtag, the tag index.
 """
 
 import os
@@ -172,7 +173,9 @@ def read_csv(path):
     Channels listed on the comment line come first, in that order, each
     with its tags or none and its own duration when the line gives one;
     channels found only in the rows follow in file order. A row outside the
-    grammar of the module docstring raises TagFormatError naming its line.
+    grammar of the module docstring raises TagFormatError naming its line,
+    and so does the first tag of a channel that is out of order or at or
+    past the channel's duration.
     """
     duration_ps = None
     listed = []
@@ -196,6 +199,7 @@ def read_csv(path):
         if header.strip() != "channel,timestamp_ps":
             raise TagFormatError(f"{path}: unexpected CSV header {header.strip()!r}")
         tag_parts, channel_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        first_row_line = line
         for block in _row_blocks(fh):
             channels, tags, line = _parse_rows(block, path, line)
             channel_parts.append(channels)
@@ -218,12 +222,32 @@ def read_csv(path):
     streams = []
     for ch in dict.fromkeys(listed + in_rows):   # file order after the listed ones
         own_tags = tags if in_rows == [ch] else tags[channels == ch]
+        own_ps = own.get(ch, duration_ps)
         try:
-            streams.append(TagStream(ch, own_tags, own.get(ch, duration_ps) / _PS,
+            streams.append(TagStream(ch, own_tags, own_ps / _PS,
                                      meta={"source": str(path)}))
         except ValueError as exc:
-            raise TagFormatError(f"{path}: channel {ch}: {exc}") from None
+            where = ""
+            if own_ps >= 0:     # else the duration is refused, not a tag
+                row = _first_bad_tag(own_tags, own_ps)
+                if in_rows != [ch]:
+                    row = int(np.flatnonzero(channels == ch)[row])
+                where = f"line {_row_line(path, first_row_line, row)}: "
+            raise TagFormatError(f"{path}: {where}channel {ch}: {exc}") from None
     return streams
+
+
+def _row_line(path, first, row):
+    """The 1-based file line of data row ``row`` (0-based, blank lines not
+    counted) of a CSV whose rows start on line ``first``. A second pass over
+    the file, made only to name a rejected tag."""
+    with open(path, "rb") as fh:
+        for line, text in enumerate(fh, 1):
+            if line >= first and text.removesuffix(b"\n").removesuffix(b"\r"):
+                if row == 0:
+                    return line
+                row -= 1
+    raise AssertionError("the file has fewer rows than were parsed")
 
 
 def _header_int(path, key, value):

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from qfclab import acceptance, fock, scenarios
+from qfclab import _kernels, acceptance, fock, scenarios
 from qfclab.config import bundled_losses, bundled_model
 
 _MODEL = bundled_model()
@@ -22,6 +22,21 @@ _LOSSES = bundled_losses()
 def test_acceptance(check):
     result = check(_MODEL, _LOSSES, printer=print)
     assert result.passed, result.detail
+
+
+def test_correlator_gate_merges_and_searches(monkeypatch):
+    # the gate's cases reach both sides of the merge's density guard
+    searched = []
+    ranks = _kernels._ranks
+
+    def counted(t, s):
+        searched.append(len(s) > _kernels._MERGE_DENSITY * len(t))
+        return ranks(t, s)
+
+    monkeypatch.setattr(_kernels, "_ranks", counted)
+    result = acceptance.check_correlator_oracle(_MODEL, _LOSSES)
+    assert result.passed, result.detail
+    assert set(searched) == {False, True}
 
 
 def _clause(detail, label):

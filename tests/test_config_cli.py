@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -576,8 +577,29 @@ class TestManifest:
                                                "params": params}]})
         assert m.scenarios[0].params == params
 
+    @pytest.mark.parametrize("kind", ["coincidence_si", "coincidence_so"])
+    @pytest.mark.parametrize("params, shown, half_bins", [
+        ({"window_ns": 0.1}, "0.1 and 'bin_width_ps' 165", 1),
+        ({"window_ns": 1.49, "bin_width_ps": 1000}, "1.49 and 'bin_width_ps' 1000", 1),
+        ({"window_ns": 20, "bin_width_ps": 10 ** 6}, "20 and 'bin_width_ps' 1000000", 0),
+    ])
+    def test_window_under_two_bins_is_named(self, kind, params, shown, half_bins):
+        data = {"scenarios": [{"name": "cc", "kind": kind, "params": params}]}
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"scenario 'cc' ({kind}): params 'window_ns' {shown} give "
+                f"round(window_ns * 1e3 / bin_width_ps) = {half_bins}; it must be >= 2")):
+            manifest_from_dict(data)
+
+    @pytest.mark.parametrize("params", [{"window_ns": 1.5, "bin_width_ps": 1000},
+                                        {"window_ns": 0.33}])
+    def test_window_of_two_bins_is_accepted(self, params):
+        # round(1.5) and round(0.33e3 / 165) are 2: a 4-bin histogram
+        m = manifest_from_dict({"scenarios": [{"name": "cc", "kind": "coincidence_so",
+                                               "params": params}]})
+        assert scenarios._coincidence_window(m.scenarios[0].params)[2] == 2
+
     @pytest.mark.parametrize("params", [{"bin_width_ps": 0}, {"duration_s": "x"},
-                                        {"duration_s": None}])
+                                        {"duration_s": None}, {"window_ns": 0.1}])
     def test_cli_bad_coincidence_param_exits_config_without_traceback(self, tmp_path,
                                                                       params):
         path = tmp_path / "m.json"

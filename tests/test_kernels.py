@@ -1,7 +1,9 @@
 """Properties of the vectorized kernels against their slow oracles: the
 dead-time filter against the sequential one, the pair histogram against the
 all-pairs outer difference, also with its stepping rounds and chunks cut
-short so that every round boundary and chunk edge is crossed."""
+short so that every round boundary and chunk edge is crossed, and on both
+sides of the merge's density guard; the merge's ranks against
+searchsorted."""
 
 import concurrent.futures
 import sys
@@ -182,6 +184,70 @@ def test_pair_histogram_fallback_after_every_round(case, rounds, chunk):
         assert np.array_equal(pair_histogram(*case), expected)
 
 
+@pytest.mark.parametrize("density", [0, 10 ** 9])
+@settings(max_examples=300, deadline=None)
+@given(_PAIR_CASES, st.sampled_from([0, 1, 2, _kernels._STEP_ROUNDS]),
+       st.sampled_from([1, 2, 3, 7, _kernels.PAIR_CHUNK]))
+def test_pair_histogram_on_each_side_of_the_merge_guard(density, case, rounds, chunk):
+    # density 0 searches every nonempty span, 10**9 merges every span: the
+    # properties above, on chunks and rounds cut short, hold on both paths
+    expected = _oracle_outer(*case)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_MERGE_DENSITY", density)
+        mp.setattr(_kernels, "_STEP_ROUNDS", rounds)
+        mp.setattr(_kernels, "PAIR_CHUNK", chunk)
+        assert np.array_equal(pair_histogram(*case), expected)
+
+
+@st.composite
+def rank_cases(draw):
+    """(t, s): a chunk t from -2**40 on, with runs of equal tags, and a span s
+    inside [t[0], t[-1]] of 0 to 3 _MERGE_DENSITY tags per tag of t, whose
+    values tie those of t or fall between them."""
+    base = draw(st.sampled_from([-(2 ** 40), -7, 0, 2 ** 40]))
+    spread = draw(st.sampled_from([0, 5, 1_000, 2 ** 41]))
+    n = draw(st.sampled_from([1, 2, draw(st.integers(1, 40))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    t = base + np.sort(rng.integers(0, spread + 1, n))
+    if draw(st.booleans()):
+        t = np.repeat(t, rng.integers(1, 6, n))[:n]
+    per_tag = draw(st.sampled_from([0, 1, _kernels._MERGE_DENSITY,
+                                    _kernels._MERGE_DENSITY + 1,
+                                    3 * _kernels._MERGE_DENSITY]))
+    m = max(per_tag * n + draw(st.integers(-1, 1)), 0) if per_tag else 0
+    between = rng.integers(t[0], t[-1] + 1, m)
+    tied = t[rng.integers(0, n, m)]
+    s = np.where(rng.random(m) < draw(st.sampled_from([0, 0.5, 1])), tied, between)
+    return t.astype(np.int64), np.sort(s).astype(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank_cases())
+def test_merge_ranks_match_searchsorted(case):
+    t, s = case
+    assert np.array_equal(_kernels._ranks(t, s), np.searchsorted(s, t, side="left"))
+
+
+# pair_histogram's domain at tau in [-10, 10): a + tau_min, a + tau_max and
+# b within int64 and at most 2**63 - 1 ps apart. Each edge is (a, b) on it,
+# which runs, and (a, b) one ps past it, which raises
+_I64_MIN, _I64_MAX = -2 ** 63, 2 ** 63 - 1
+_DOMAIN_EDGES = {
+    "b[-1] - (a[0] + tau_min)": (([0], [0, _I64_MAX - 10]), ([0], [0, _I64_MAX - 9])),
+    "a[0] + tau_min": (([_I64_MIN + 10],) * 2, ([_I64_MIN + 9],) * 2),
+    "a[-1] + tau_max": (([_I64_MAX - 10],) * 2, ([_I64_MAX - 9],) * 2),
+}
+
+
+@pytest.mark.parametrize("edge", _DOMAIN_EDGES)
+def test_pair_histogram_domain_edges(edge):
+    on, past = ([np.array(x, dtype=np.int64) for x in ab] for ab in _DOMAIN_EDGES[edge])
+    # the one pair inside the window is (a[0], b[0]) at tau = 0
+    assert pair_histogram(*on, -10, 10, 5).tolist() == [0, 0, 1, 0]
+    with pytest.raises(ValueError, match=r"must lie in int64 and less than 2\*\*63 ps apart"):
+        pair_histogram(*past, -10, 10, 5)
+
+
 # windows that run past the end of b while they are stepped, each with the
 # number of pairs it holds: in the first, a = 3 leaves b after its 2 partners
 # and a = 0 after its 4; in the auto-correlations, tag i leaves after
@@ -261,7 +327,10 @@ def test_threaded_pair_histogram_matches_serial(workers, chunk, monkeypatch):
     monkeypatch.setattr(_kernels, "PAIR_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     a, b = _bursts(rng, 150, 60_000), _bursts(rng, 150, 60_000)
+    # a[::8] leaves about 8 tags of b per tag of a: chunks of 7 and 64 search,
+    # where the full a merges
     cases = [(a, b, -500, 500, 20, False), (a, b, -3_000, -1_000, 100, False),
+             (a[::8], b, -500, 500, 20, False),
              (a, a, 0, 400, 10, True), (a, a, 30, 600, 30, True)]
     for case in cases:
         got = pair_histogram(*case)

@@ -177,7 +177,43 @@ def test_csv_header_value_that_is_not_an_integer(tmp_path, comment, key, value):
 def test_csv_stream_rejection_names_the_file(tmp_path, rows, reason):
     path = tmp_path / "order.csv"
     path.write_text(f"# qtag-csv v1 duration_ps=5000\nchannel,timestamp_ps\n1,1\n{rows}")
-    with pytest.raises(TagFormatError, match=f"order.csv: channel 0: {reason}$"):
+    with pytest.raises(TagFormatError, match=f"order.csv: line 5: channel 0: {reason}$"):
+        read_csv(path)
+
+
+# rows of channels 1 and 0 with blank lines among them; the first rejected
+# tag of channel 0 is on the line marked "<" (1-based, header lines counted)
+_CSV_REJECTED = [
+    ("1,1|1,9||0,5|0,7||0,6 <|0,2|1,20",
+     "durations_ps=5000,5000", "timestamps must be sorted"),
+    ("||0,5|1,3|0,4 <|0,4999",
+     "durations_ps=5000,5000", "timestamps must be sorted"),
+    ("1,4999||0,10|0,4999|0,5000 <|0,6000",
+     "durations_ps=5000,5000", "timestamps must be below the acquisition duration"),
+    ("0,10|0,4000 <|1,4000|1,4999",
+     "durations_ps=5000,3000", "timestamps must be below the acquisition duration"),
+    ("0,0 <",
+     "durations_ps=5000,0", "timestamps must be below the acquisition duration"),
+]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("rows, durations, reason", _CSV_REJECTED)
+def test_csv_rejected_tag_names_its_line(tmp_path, rows, durations, reason, end):
+    path = tmp_path / "lines.csv"
+    lines = [f"# qtag-csv v1 duration_ps=5000 channels=1,0 {durations}",
+             "channel,timestamp_ps"] + rows.split("|")
+    line = next(n for n, text in enumerate(lines, 1) if text.endswith(" <"))
+    path.write_bytes(end.join(lines).replace(" <", "").encode("ascii") + end.encode())
+    with pytest.raises(TagFormatError, match=f"lines.csv: line {line}: channel 0: "
+                                             f"{reason}$"):
+        read_csv(path)
+
+
+def test_csv_negative_duration_names_no_line(tmp_path):
+    path = tmp_path / "neg.csv"
+    path.write_text("# qtag-csv v1 duration_ps=-5 channels=0\nchannel,timestamp_ps\n0,1\n")
+    with pytest.raises(TagFormatError, match="neg.csv: channel 0: duration must be >= 0$"):
         read_csv(path)
 
 
