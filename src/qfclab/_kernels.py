@@ -88,6 +88,16 @@ def _tie_pairs(tags):
     return int((runs * (runs + 1) // 2).sum())
 
 
+def _check_span(a, b, tau_min, tau_max):
+    """pair_histogram's domain check, in Python ints on the end tags."""
+    if len(a) and len(b):
+        lowest = min(int(a[0]) + int(tau_min), int(b[0]))
+        highest = max(int(a[-1]) + int(tau_max), int(b[-1]))
+        if lowest < _INT64_MIN or highest > _INT64_MAX or highest - lowest > _INT64_MAX:
+            raise ValueError(f"a + tau_min, a + tau_max and b span [{lowest}, {highest}] "
+                             "ps; they must lie in int64 and less than 2**63 ps apart")
+
+
 def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     """Histogram of the ordered pairs (i, j) with tau = b[j] - a[i] in
     [tau_min, tau_max), binned as (tau - tau_min) // bin_width.
@@ -119,12 +129,7 @@ def pair_histogram(a, b, tau_min, tau_max, bin_width, exclude_self=False):
     """
     if exclude_self and (b is not a or tau_min < 0):
         raise ValueError("exclude_self needs b to be a and tau_min >= 0")
-    if len(a) and len(b):
-        lowest = min(int(a[0]) + int(tau_min), int(b[0]))
-        highest = max(int(a[-1]) + int(tau_max), int(b[-1]))
-        if lowest < _INT64_MIN or highest > _INT64_MAX or highest - lowest > _INT64_MAX:
-            raise ValueError(f"a + tau_min, a + tau_max and b span [{lowest}, {highest}] "
-                             "ps; they must lie in int64 and less than 2**63 ps apart")
+    _check_span(a, b, tau_min, tau_max)
     tau_min, width = np.int64(tau_min), np.int64(tau_max) - np.int64(tau_min)
     bin_width = np.int64(bin_width)
     counts = np.zeros(int(width // bin_width), dtype=np.int64)

@@ -19,7 +19,7 @@ from .fock import (CouplingParams, FockBasis, cascaded_evolution,
                    closed_form_observables, correlation_observables,
                    observables_with_truncation_check)
 from .montecarlo import TagStream
-from .scenarios import (compute_coincidence_si, compute_coincidence_so,
+from .scenarios import (Scenario, compute_coincidence_si, compute_coincidence_so,
                         compute_efficiency_sweep, compute_noise_spectrum,
                         compute_noise_sweep, compute_snr_sweep, derive_seed)
 from .spectral import energy_gap, sfg_output_wavelength, spdc_signal_wavelength
@@ -45,18 +45,17 @@ def _result(name, passed, detail, printer=None):
 
 def _scenario_gate(name, model, losses, printer, runs, only=None, computed=None):
     """Gate on the checks of scenario computations: `runs` lists
-    (compute_*, seed) pairs, and `only` the check-name prefixes that count
-    (all checks when None). The detail joins the scenario's own wording.
-
-    `computed` is a battery's memo of scenario results by (compute_*,
-    seed): a pair that several gates of one battery read runs once."""
+    (compute_*, kind) pairs, run as the default manifest runs them, and
+    `only` the check-name prefixes that count (all when None). The detail
+    joins the scenario's own wording. `computed` is a battery's memo of
+    scenario results by pair: a pair that several gates read runs once."""
     computed = {} if computed is None else computed
     checks = []
-    for run in runs:
-        if run not in computed:
-            compute, seed = run
-            computed[run] = compute(model, losses, {}, seed)
-        checks += [c for c in computed[run]["checks"]
+    for compute, kind in runs:
+        if (compute, kind) not in computed:
+            computed[compute, kind] = compute(model, losses, Scenario(kind, kind).params,
+                                              derive_seed(12345, kind))
+        checks += [c for c in computed[compute, kind]["checks"]
                    if only is None or c["name"].startswith(only)]
     return _result(name, all(c["passed"] for c in checks),
                    "; ".join(c["detail"] for c in checks), printer)
@@ -141,24 +140,25 @@ def check_fock_engine(model, losses, printer=None):
 
 def check_efficiency_calibration(model, losses, printer=None, computed=None):
     return _scenario_gate("efficiency-calibration", model, losses, printer,
-                          [(compute_efficiency_sweep, 0)], computed=computed)
+                          [(compute_efficiency_sweep, "efficiency_sweep")],
+                          computed=computed)
 
 
 def check_noise_scaling(model, losses, printer=None, computed=None):
     return _scenario_gate("noise-scaling-exponents", model, losses, printer,
-                          [(compute_noise_sweep, derive_seed(12345, "noise_sweep"))],
+                          [(compute_noise_sweep, "noise_sweep")],
                           only="noise_exponent", computed=computed)
 
 
 def check_noise_floor_anchors(model, losses, printer=None, computed=None):
     return _scenario_gate("noise-floor-anchors", model, losses, printer,
-                          [(compute_noise_sweep, derive_seed(12345, "noise_sweep"))],
+                          [(compute_noise_sweep, "noise_sweep")],
                           only=("dark_floor", "narrowline_noise"), computed=computed)
 
 
 def check_snr_sweep(model, losses, printer=None, computed=None):
     return _scenario_gate("snr-etalon-sweep", model, losses, printer,
-                          [(compute_snr_sweep, derive_seed(12345, "snr_sweep"))],
+                          [(compute_snr_sweep, "snr_sweep")],
                           computed=computed)
 
 
@@ -299,14 +299,15 @@ def check_dead_time_oracle(model, losses, printer=None):
 
 def check_nonclassical_correlations(model, losses, printer=None, computed=None):
     return _scenario_gate("nonclassical-correlations", model, losses, printer,
-                          [(compute_coincidence_si, derive_seed(12345, "coincidence_si")),
-                           (compute_coincidence_so, derive_seed(12345, "coincidence_so"))],
+                          [(compute_coincidence_si, "coincidence_si"),
+                           (compute_coincidence_so, "coincidence_so")],
                           computed=computed)
 
 
 def check_noise_spectrum_shape(model, losses, printer=None, computed=None):
     return _scenario_gate("noise-spectrum-shape", model, losses, printer,
-                          [(compute_noise_spectrum, 0)], computed=computed)
+                          [(compute_noise_spectrum, "noise_spectrum")],
+                          computed=computed)
 
 
 def check_throughput(model, losses, printer=None):

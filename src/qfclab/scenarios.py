@@ -35,12 +35,67 @@ from .spectral import (LossBudget, SpectralFilter, _converted_input_rate,
 from .tagcorr import (cauchy_schwarz_test, coincidence_histogram,
                       g2_from_histogram, power_law_fit)
 
-KINDS = ("efficiency_sweep", "snr_sweep", "noise_sweep", "noise_spectrum",
-         "coincidence_si", "coincidence_so", "fock_demo")
-
 
 class ScenarioError(ValueError):
     pass
+
+
+def _is_number(value):
+    """An int or a finite float, as JSON gives them; not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
+_AT_LEAST_0 = ("a number >= 0", lambda v: _is_number(v) and v >= 0)
+_ABOVE_0 = ("a number > 0", lambda v: _is_number(v) and v > 0)
+_COUNT = ("an integer >= 1", lambda v: _is_number(v) and isinstance(v, int) and v >= 1)
+_SWEEP = ("a non-empty list of numbers >= 0", lambda v: (
+    isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_AT_LEAST_0[1], v))))
+# power_law_fit needs three powers > 0, and distinct ones to fit a slope
+_FIT = ("a list of numbers > 0, 3 or more of them distinct", lambda v: (
+    isinstance(v, (list, tuple)) and all(map(_ABOVE_0[1], v)) and len(set(v)) >= 3))
+_WINDOW = {"bin_width_ps": (165, *_COUNT), "window_ns": (20.0, *_ABOVE_0)}
+
+# {kind: {key: (default, what it must be, check)}}: the only keys each kind
+# accepts, and the values it runs with where a key is not given
+_PARAMS = {
+    "efficiency_sweep": {"powers_mw": (tuple(12.5 * k for k in range(0, 33)), *_SWEEP)},
+    "snr_sweep": {
+        "powers_mw": ((25, 50, 75, 100, 125, 150, 175, 200, 250, 300, 350, 400), *_SWEEP),
+        "acquisition_s": (5.0, *_ABOVE_0),
+        "etalon": (True, "true or false", lambda v: isinstance(v, bool))},
+    "noise_sweep": {"powers_mw": ((25, 40, 63, 100, 158, 251, 400), *_FIT),
+                    "acquisition_s": (5.0, *_ABOVE_0), "n_seeds": (20, *_COUNT)},
+    "noise_spectrum": {"pump_power_mw": (200.0, *_AT_LEAST_0),
+                       "floor_per_bin_hz": (40.0, *_ABOVE_0)},
+    "coincidence_si": {"pump_power_mw": (0.4, *_AT_LEAST_0),
+                       "duration_s": (30.0, *_ABOVE_0), **_WINDOW},
+    "coincidence_so": {"pump_power_mw": (200.0, *_AT_LEAST_0),
+                       "duration_s": (20.0, *_ABOVE_0), **_WINDOW},
+    "fock_demo": {"pump_amplitudes": ((0.005, 0.00707, 0.01, 0.01414, 0.02), *_FIT),
+                  "kappa": (1.0, *_ABOVE_0), "gamma": (1.0, *_ABOVE_0),
+                  "interaction_time": (1.0, *_ABOVE_0), "n_max": (3, *_COUNT)},
+}
+KINDS = tuple(_PARAMS)
+_MAX_WINDOW_BINS = 2 ** 20      # the most bins of a coincidence scenario's histogram
+
+
+def _window_problem(p):
+    """What is wrong with a coincidence window, or None: 4 to _MAX_WINDOW_BINS
+    bins (the ratio compared before round()), and window plus duration under 2**63 ps."""
+    ratio = p["window_ns"] * 1e3 / p["bin_width_ps"]
+    shown = f"params 'window_ns' {p['window_ns']!r} and 'bin_width_ps' {p['bin_width_ps']}"
+    if not 1.5 <= ratio <= _MAX_WINDOW_BINS // 2 + 0.5:
+        return (f"{shown} give window_ns * 1e3 / bin_width_ps = {ratio:g}; 2 * round() "
+                f"of it must be 4 to {_MAX_WINDOW_BINS} bins")
+    width_ps = 2 * round(ratio) * p["bin_width_ps"]
+    if width_ps >= 2 ** 63 or width_ps + p["duration_s"] * 1e12 >= 2 ** 63:
+        return (f"{shown} give a {width_ps} ps window; with 'duration_s' "
+                f"{p['duration_s']!r} it must span less than 2**63 ps")
 
 
 @dataclass
@@ -54,25 +109,20 @@ class Scenario:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ScenarioError(f"scenario {self.name!r}: params must be an object")
-        keys = PARAM_KEYS[self.kind]
-        unknown = sorted(set(self.params) - set(keys))
+        table = _PARAMS[self.kind]
+        where = f"scenario {self.name!r} ({self.kind})"
+        unknown = sorted(set(self.params) - set(table))
         if unknown:
-            raise ScenarioError(f"scenario {self.name!r} ({self.kind}): unknown params "
-                                f"{unknown}; accepted {list(keys)}")
-        if isinstance(keys, dict):
-            for key, (wanted, valid) in keys.items():
-                if key in self.params and not valid(self.params[key]):
-                    raise ScenarioError(f"scenario {self.name!r} ({self.kind}): param "
-                                        f"{key!r} must be {wanted}, got "
-                                        f"{self.params[key]!r}")
-        if keys is _COINCIDENCE_KEYS:
-            # the correlator needs 3 bins or more, and the window holds 2 * half
-            bin_ps, window_ns, half_bins = _coincidence_window(self.params)
-            if half_bins < 2:
-                raise ScenarioError(
-                    f"scenario {self.name!r} ({self.kind}): params 'window_ns' "
-                    f"{window_ns!r} and 'bin_width_ps' {bin_ps!r} give "
-                    f"round(window_ns * 1e3 / bin_width_ps) = {half_bins}; it must be >= 2")
+            raise ScenarioError(f"{where}: unknown params {unknown}; "
+                                f"accepted {list(table)}")
+        resolved = {key: default for key, (default, _, _) in table.items()} | self.params
+        for key, (_, wanted, valid) in table.items():
+            if not valid(resolved[key]):
+                raise ScenarioError(f"{where}: param {key!r} must be {wanted}, "
+                                    f"got {resolved[key]!r}")
+        if "window_ns" in table and (problem := _window_problem(resolved)):
+            raise ScenarioError(f"{where}: {problem}")
+        self.params = resolved
 
 
 @dataclass
@@ -178,9 +228,7 @@ def _fmt(x):
 # scenario computations (pure; file writing happens in run_scenario)
 
 def compute_efficiency_sweep(model, losses, params, seed):
-    powers = params.get("powers_mw", [12.5 * k for k in range(0, 33)])
-    if len(powers) == 0:
-        raise ScenarioError("empty sweep list")
+    powers = params["powers_mw"]
     p_mw = np.asarray(powers, dtype=float)
     eta_int = conversion_efficiency(p_mw, model, internal=True)
     eta_ext = conversion_efficiency(p_mw, model, internal=False, losses=losses)
@@ -201,12 +249,8 @@ def compute_efficiency_sweep(model, losses, params, seed):
 
 
 def compute_snr_sweep(model, losses, params, seed):
-    powers = params.get("powers_mw",
-                        [25, 50, 75, 100, 125, 150, 175, 200, 250, 300, 350, 400])
-    if len(powers) == 0:
-        raise ScenarioError("empty sweep list")
-    t_acq = params.get("acquisition_s", 5.0)
-    stack = uv_stack(model, etalon=params.get("etalon", True))
+    powers, t_acq = params["powers_mw"], params["acquisition_s"]
+    stack = uv_stack(model, etalon=params["etalon"])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     p_mw = np.asarray(powers, dtype=float)
     # detected_signal_rate's sum, with the stack integrated once for both
@@ -236,11 +280,7 @@ def compute_snr_sweep(model, losses, params, seed):
 
 
 def compute_noise_sweep(model, losses, params, seed):
-    powers = params.get("powers_mw", [25, 40, 63, 100, 158, 251, 400])
-    if len(powers) == 0:
-        raise ScenarioError("empty sweep list")
-    t_acq = params.get("acquisition_s", 5.0)
-    n_seeds = params.get("n_seeds", 20)
+    powers, t_acq, n_seeds = params["powers_mw"], params["acquisition_s"], params["n_seeds"]
     floor = model.dark_count_rate_hz
     tables = {}
     checks = []
@@ -278,8 +318,7 @@ def compute_noise_sweep(model, losses, params, seed):
 
 
 def compute_noise_spectrum(model, losses, params, seed):
-    p = params.get("pump_power_mw", 200.0)
-    floor = params.get("floor_per_bin_hz", 40.0)
+    p, floor = params["pump_power_mw"], params["floor_per_bin_hz"]
     lam0 = model.lambda_output_nm
     res = uv_spectrometer(model)
 
@@ -326,47 +365,38 @@ def compute_noise_spectrum(model, losses, params, seed):
             "checks": checks}
 
 
-def _coincidence_window(params):
-    """(bin_width_ps, window_ns, half window in whole bins) of a coincidence
-    scenario; its histogram runs from -half to +half, 2 * half bins."""
-    bin_ps = params.get("bin_width_ps", 165)
-    window_ns = params.get("window_ns", 20.0)
-    return bin_ps, window_ns, int(round(window_ns * 1e3 / bin_ps))
-
-
 def _coincidence_common(model, losses, params, seed, high_pump):
-    p = params.get("pump_power_mw", 200.0 if high_pump else 0.4)
-    duration = params.get("duration_s", 20.0 if high_pump else 30.0)
-    bin_ps, _, half_bins = _coincidence_window(params)
-    half_ps = half_bins * bin_ps
+    p, duration = params["pump_power_mw"], params["duration_s"]
+    bin_ps = params["bin_width_ps"]
+    half_ps = round(params["window_ns"] * 1e3 / bin_ps) * bin_ps
 
+    other = "output" if high_pump else "idler"
     channels = {"signal": signal_channel(model, vbg=high_pump),
-                "output" if high_pump else "idler":
-                    output_channel(model, losses) if high_pump else idler_channel(model)}
+                other: output_channel(model, losses) if high_pump else idler_channel(model)}
     scenario = ScenarioConfig(pump_power_mw=p, duration_s=duration, seed=seed,
                               channels=channels)
     streams = generate_streams(scenario, model)
-    other = "output" if high_pump else "idler"
     hist = coincidence_histogram(streams["signal"], streams[other], bin_ps,
                                  (-half_ps, half_ps))
     corr = g2_from_histogram(hist)
     violated, nsig = cauchy_schwarz_test(corr)
-    rows = list(zip(hist.bin_centers_ps(), hist.counts))
     meta = {"pump_power_mw": float(p), "duration_s": float(duration),
             "singles_signal_hz": float(streams["signal"].rate_hz),
             f"singles_{other}_hz": float(streams[other].rate_hz),
             "g2": float(corr.g2), "sigma": float(corr.sigma),
             "cs_violated": bool(violated), "cs_sigma": float(nsig)}
-    table_comment = (f"# bin_width_ps={hist.bin_width_ps} "
-                     f"tau_range_ps=[{hist.tau_min_ps},{hist.tau_max_ps}) "
-                     f"acquisition_s={hist.acquisition_time_s:g} "
-                     f"singles_a={hist.singles['a']} singles_b={hist.singles['b']}\n")
-    return hist, corr, violated, nsig, rows, meta, table_comment
+    note = (f"# bin_width_ps={hist.bin_width_ps} "
+            f"tau_range_ps=[{hist.tau_min_ps},{hist.tau_max_ps}) "
+            f"acquisition_s={hist.acquisition_time_s:g} "
+            f"singles_a={hist.singles['a']} singles_b={hist.singles['b']}\n")
+    rows = list(zip(hist.bin_centers_ps(), hist.counts))
+    return corr, violated, nsig, {"tables": {"histogram": (("tau_ps", "counts"), rows)},
+                                  "table_comments": {"histogram": note}, "meta": meta}
 
 
 def compute_coincidence_si(model, losses, params, seed):
-    hist, corr, violated, nsig, rows, meta, note = _coincidence_common(
-        model, losses, params, seed, high_pump=False)
+    corr, violated, nsig, result = _coincidence_common(model, losses, params, seed,
+                                                       high_pump=False)
     margin = (corr.g2 - 10.0) / corr.sigma if corr.sigma > 0 else math.inf
     checks = [
         _check("g2_signal_idler_above_10", corr.g2 > 10.0 and margin >= 3.0,
@@ -375,33 +405,25 @@ def compute_coincidence_si(model, losses, params, seed):
         _check("cauchy_schwarz_violated_si", violated,
                f"classicality bound exceeded by {nsig:.1f} sigma"),
     ]
-    return {"tables": {"histogram": (("tau_ps", "counts"), rows)},
-            "table_comments": {"histogram": note},
-            "checks": checks, "meta": meta}
+    return {**result, "checks": checks}
 
 
 def compute_coincidence_so(model, losses, params, seed):
-    hist, corr, violated, nsig, rows, meta, note = _coincidence_common(
-        model, losses, params, seed, high_pump=True)
+    corr, violated, nsig, result = _coincidence_common(model, losses, params, seed,
+                                                       high_pump=True)
     checks = [
         _check("g2_signal_output_above_2", corr.g2 > 2.0,
                f"g2 = {corr.g2:.2f} +- {corr.sigma:.2f} (required > 2)"),
         _check("cauchy_schwarz_violated_so", violated and nsig >= 5.0,
                f"classicality bound exceeded by {nsig:.1f} sigma (required >= 5)"),
     ]
-    return {"tables": {"histogram": (("tau_ps", "counts"), rows)},
-            "table_comments": {"histogram": note},
-            "checks": checks, "meta": meta}
+    return {**result, "checks": checks}
 
 
 def compute_fock_demo(model, losses, params, seed):
-    amps = params.get("pump_amplitudes", [0.005, 0.00707, 0.01, 0.01414, 0.02])
-    if len(amps) == 0:
-        raise ScenarioError("empty sweep list")
-    kappa = params.get("kappa", 1.0)
-    gamma = params.get("gamma", 1.0)
-    t = params.get("interaction_time", 1.0)
-    basis = FockBasis(n_max=params.get("n_max", 3))
+    amps, t = params["pump_amplitudes"], params["interaction_time"]
+    kappa, gamma = params["kappa"], params["gamma"]
+    basis = FockBasis(n_max=params["n_max"])
     rows = []
     for a in amps:
         st = cascaded_evolution(basis, CouplingParams(kappa, gamma, a, t))
@@ -432,37 +454,6 @@ _COMPUTE = {
     "coincidence_si": compute_coincidence_si,
     "coincidence_so": compute_coincidence_so,
     "fock_demo": compute_fock_demo,
-}
-
-
-def _is_number(value):
-    """An int or a finite float, as JSON gives them; not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:       # an int beyond the float range
-        return False
-
-
-# the params keys each kind's compute_* function reads (a test pins them to
-# the code); Scenario rejects any other key, and a key given as
-# {key: (what it must be, check)} also any value that fails the check
-_COINCIDENCE_KEYS = {
-    "pump_power_mw": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
-    "duration_s": ("a number > 0", lambda v: _is_number(v) and v > 0),
-    "bin_width_ps": ("an integer >= 1",
-                     lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1),
-    "window_ns": ("a number > 0", lambda v: _is_number(v) and v > 0),
-}
-PARAM_KEYS = {
-    "efficiency_sweep": ("powers_mw",),
-    "snr_sweep": ("powers_mw", "acquisition_s", "etalon"),
-    "noise_sweep": ("powers_mw", "acquisition_s", "n_seeds"),
-    "noise_spectrum": ("pump_power_mw", "floor_per_bin_hz"),
-    "coincidence_si": _COINCIDENCE_KEYS,
-    "coincidence_so": _COINCIDENCE_KEYS,
-    "fock_demo": ("pump_amplitudes", "kappa", "gamma", "interaction_time", "n_max"),
 }
 
 
@@ -512,7 +503,7 @@ def read_table(path):
 
 def run_scenario(scenario, model=None, losses=None, output_dir="out",
                  global_seed=12345):
-    """Execute one scenario: artifacts on disk plus a summary record.
+    """Execute one scenario: artifacts on disk plus a summary record of it and its params.
 
     Artifacts are deterministic for a fixed manifest seed. On write
     failure, this scenario's partial outputs are removed.
@@ -546,6 +537,7 @@ def run_scenario(scenario, model=None, losses=None, output_dir="out",
             "checks": result["checks"],
             "passed": all(c["passed"] for c in result["checks"]),
             "meta": result.get("meta", {}),
+            "params": scenario.params,
             "artifacts": [p.name for p in written],
         }
         spath = outdir / f"{scenario.name}_summary.json"

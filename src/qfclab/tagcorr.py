@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import is_sorted, pair_histogram
+from ._kernels import _check_span, is_sorted, pair_histogram
 from .fock import UndefinedCorrelationError
 
 
@@ -127,6 +127,7 @@ def coincidence_histogram_sliced(a, b, bin_width_ps, tau_range, n_slices):
     _check_sorted(b.tags)
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
+    _check_span(a.tags, b.tags, tau_min, tau_max)   # before a_k + tau_min can wrap
     n_bins = (tau_max - tau_min) // bin_width
     total = np.zeros(n_bins, dtype=np.int64)
     # integer ps edges ending where TagStream bounds its tags

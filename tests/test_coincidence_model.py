@@ -116,7 +116,7 @@ def run_coincidence(kind, seed, jitter_scale=1.0, pair_scale=1.0, bin_shift=0):
         mp.setattr(scenarios, "generate_streams", generate_recorded)
         mp.setattr(scenarios, "coincidence_histogram", histogram_recorded)
         mp.setattr(montecarlo, "branch_rates", pair_scaled)
-        result = compute(MODEL, LOSSES, {}, seed)
+        result = compute(MODEL, LOSSES, scenarios.Scenario(kind, kind).params, seed)
 
     scenario, hist = seen["scenario"], seen["hist"]
     model = expected_histogram(scenario, MODEL, branch, "signal", other,

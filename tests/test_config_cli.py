@@ -18,10 +18,11 @@ from scipy.optimize import brentq
 
 import qfclab
 from qfclab import cli, scenarios, spectral
+from qfclab._kernels import pair_histogram
 from qfclab.config import (CalibrationError, _calibrated_eta_nor, bundled_losses,
                            bundled_model, calibrate, config_from_dict, config_hash,
                            config_to_dict, load_config, save_config, uv_stack)
-from qfclab.scenarios import (PARAM_KEYS, Scenario, ScenarioError, compute_snr_sweep,
+from qfclab.scenarios import (Scenario, ScenarioError, compute_snr_sweep,
                               default_manifest, manifest_from_dict, read_table,
                               run_scenario)
 from qfclab.spectral import conversion_efficiency, detected_signal_rate, noise_rate
@@ -59,22 +60,62 @@ _PINNED_BUNDLED_MODEL = {
 
 
 def _params_keys_read(func):
-    """The keys func reads as params.get("key", ...) or params["key"], with
-    those of the scenarios helpers it passes params on to."""
+    """The keys func reads as params["key"], with those of the scenarios
+    helpers it passes params on to."""
     keys = set()
     for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
         if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "params":
             keys.add(node.slice.value)
-        if not isinstance(node, ast.Call):
-            continue
-        f = node.func
-        if (isinstance(f, ast.Attribute) and f.attr == "get"
-                and getattr(f.value, "id", None) == "params"):
-            keys.add(node.args[0].value)
-        elif isinstance(f, ast.Name) and any(getattr(arg, "id", None) == "params"
-                                             for arg in node.args):
-            keys |= _params_keys_read(getattr(scenarios, f.id))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(getattr(arg, "id", None) == "params" for arg in node.args)):
+            keys |= _params_keys_read(getattr(scenarios, node.func.id))
     return keys
+
+
+# today's default of every scenario param, as the compute_* functions held
+# them, then values each key refuses (wrong types and out of range) and the
+# edge values it accepts
+_PARAM_CASES = {
+    "efficiency_sweep": {
+        "powers_mw": ([12.5 * k for k in range(0, 33)],
+                      ["abc", 100, None, [], [100, -1], [100, "x"], [math.nan], [True]],
+                      [[0], [0, 0], [2 ** 1000]])},
+    "snr_sweep": {
+        "powers_mw": ([25, 50, 75, 100, 125, 150, 175, 200, 250, 300, 350, 400],
+                      ["abc", [], [100, -0.5], [100, math.inf]], [[0], [100, 100]]),
+        "acquisition_s": (5.0, ["5", None, True, 0, -1.0, math.inf, math.nan], [1e-9, 5]),
+        "etalon": (True, [1, 0, "true", None], [False])},
+    "noise_sweep": {
+        "powers_mw": ([25, 40, 63, 100, 158, 251, 400],
+                      ["abc", [], [25, 100], [25, 100, 100.0], [0, 25, 100], [-25, 25, 100],
+                       [25, 100, "400"]],
+                      [[25, 100, 400], [25, 25, 100, 400]]),
+        "acquisition_s": (5.0, ["5", 0, -5.0], [0.5]),
+        "n_seeds": (20, ["x", None, 2.0, True, 0, -1, 2 ** 1100], [1])},
+    "noise_spectrum": {
+        "pump_power_mw": (200.0, ["200", None, -0.5, math.nan], [0, 1e4]),
+        "floor_per_bin_hz": (40.0, ["40", [40], -1, 0, math.inf], [1e-9])},
+    "coincidence_si": {
+        "pump_power_mw": (0.4, ["200", None, -0.5], [0]),
+        "duration_s": (30.0, ["x", None, True, 0, math.inf], [0.5]),
+        "bin_width_ps": (165, [165.0, False, "165", 0, -165], [1, 10_000]),
+        "window_ns": (20.0, [[20], "20", -20.0, 0, math.nan], [2])},
+    "coincidence_so": {
+        "pump_power_mw": (200.0, ["200", None, -0.5], [0]),
+        "duration_s": (20.0, ["x", None, True, 0, math.inf], [0.5]),
+        "bin_width_ps": (165, [165.0, False, "165", 0, -165], [1, 10_000]),
+        "window_ns": (20.0, [[20], "20", -20.0, 0, math.nan], [2])},
+    "fock_demo": {
+        "pump_amplitudes": ([0.005, 0.00707, 0.01, 0.01414, 0.02],
+                            ["abc", [], [0.01, 0.02], [0.01, 0.01, 0.02], [0, 0.01, 0.02],
+                             [-0.01, 0.01, 0.02]],
+                            [[0.01, 0.01, 0.02, 0.03]]),
+        "kappa": (1.0, ["1", None, 0, -1.0], [0.5]),
+        "gamma": (1.0, ["1", None, 0, -1.0], [2]),
+        "interaction_time": (1.0, ["1", None, 0, -1.0], [0.1]),
+        "n_max": (3, ["3", None, 3.0, True, 0, -1], [1, 4])},
+}
+_PARAM_KEYS = [(kind, key) for kind, keys in _PARAM_CASES.items() for key in keys]
 
 
 class TestBundledCalibration:
@@ -272,10 +313,10 @@ class TestScenarios:
         eta = conversion_efficiency(rows[16][0], model)
         assert rows[16][1] == pytest.approx(eta, rel=1e-12)
 
-    def test_empty_sweep_rejected(self, model, losses):
-        sc = Scenario("bad", "snr_sweep", params={"powers_mw": []})
-        with pytest.raises(ScenarioError, match="empty sweep"):
-            run_scenario(sc, model, losses, output_dir="/tmp/should_not_exist_x")
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ScenarioError, match=r"'bad'.*'powers_mw' must be a non-empty "
+                                                r"list.*, got \[\]"):
+            Scenario("bad", "snr_sweep", params={"powers_mw": []})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
@@ -299,7 +340,36 @@ class TestScenarios:
 
     @pytest.mark.parametrize("kind", scenarios.KINDS)
     def test_param_keys_are_the_keys_compute_reads(self, kind):
-        assert set(PARAM_KEYS[kind]) == _params_keys_read(scenarios._COMPUTE[kind])
+        assert set(scenarios._PARAMS[kind]) == _params_keys_read(scenarios._COMPUTE[kind])
+        # the defaults live in the table only
+        assert "params.get" not in Path(scenarios.__file__).read_text()
+
+    def test_param_table_covers_every_kind_and_key(self):
+        assert {kind: set(keys) for kind, keys in _PARAM_CASES.items()} \
+            == {kind: set(keys) for kind, keys in scenarios._PARAMS.items()}
+
+    @pytest.mark.parametrize("kind, key", _PARAM_KEYS)
+    def test_param_table(self, kind, key):
+        default, refused, accepted = _PARAM_CASES[kind][key]
+        got = Scenario("sc", kind).params[key]
+        # a missing key runs at today's default, types and all (CSV cells
+        # print an int and a float differently)
+        assert repr(list(got) if isinstance(got, tuple) else got) == repr(default)
+        for value in refused:
+            with pytest.raises(ScenarioError) as info:
+                Scenario("sc", kind, {key: value})
+            assert str(info.value) == (f"scenario 'sc' ({kind}): param {key!r} must be "
+                                       f"{scenarios._PARAMS[kind][key][1]}, got {value!r}")
+        for value in accepted:
+            assert Scenario("sc", kind, {key: value}).params[key] == value
+
+    def test_summary_records_the_resolved_params(self, tmp_path, model, losses):
+        sc = Scenario("fd", "fock_demo", {"n_max": 4})
+        run_scenario(sc, model, losses, output_dir=tmp_path, global_seed=7)
+        data = json.loads((tmp_path / "fd_summary.json").read_text())
+        assert data["params"] == {"pump_amplitudes": [0.005, 0.00707, 0.01, 0.01414, 0.02],
+                                  "kappa": 1.0, "gamma": 1.0, "interaction_time": 1.0,
+                                  "n_max": 4}
 
     def test_duplicate_names_rejected(self):
         from qfclab.scenarios import RunManifest
@@ -331,7 +401,8 @@ class TestScenarios:
             return integrals(*args)
 
         monkeypatch.setattr(spectral, "_stack_integrals", counted)
-        result = compute_snr_sweep(model, losses, {}, seed=1)
+        result = compute_snr_sweep(model, losses, Scenario("snr", "snr_sweep").params,
+                                   seed=1)
         assert len(calls) == 1
         monkeypatch.undo()
         # the model SNR keeps the bits of detected_signal_rate / noise_rate
@@ -557,54 +628,78 @@ class TestManifest:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["coincidence_si", "coincidence_so"])
-    @pytest.mark.parametrize("key, value", [
-        ("pump_power_mw", -0.5), ("pump_power_mw", "200"), ("pump_power_mw", None),
-        ("duration_s", 0), ("duration_s", "x"), ("duration_s", None),
-        ("duration_s", math.inf), ("duration_s", True),
-        ("bin_width_ps", 0), ("bin_width_ps", 165.0), ("bin_width_ps", False),
-        ("window_ns", -20.0), ("window_ns", math.nan), ("window_ns", [20]),
+    @pytest.mark.parametrize("params, ratio", [
+        ({"window_ns": 0.1}, "0.606061"),
+        ({"window_ns": 1.49, "bin_width_ps": 1000}, "1.49"),
+        ({"window_ns": 20, "bin_width_ps": 10 ** 6}, "0.02"),
+        # past 2**20 bins: the first window over, and windows whose ratio
+        # is past the float range or whose round() would be
+        ({"window_ns": math.nextafter(524288.5, math.inf), "bin_width_ps": 1000},
+         "524289"),
+        ({"window_ns": 524289, "bin_width_ps": 1000}, "524289"),
+        ({"window_ns": 1e300}, "6.06061e+300"),
+        ({"window_ns": 1e306}, "inf"),
     ])
-    def test_bad_coincidence_param_is_named(self, kind, key, value):
-        data = {"scenarios": [{"name": "cc", "kind": kind, "params": {key: value}}]}
-        with pytest.raises(ScenarioError, match=rf"scenario 'cc' \({kind}\): param "
-                                                rf"'{key}' must be"):
-            manifest_from_dict(data)
-
-    def test_good_coincidence_params_are_accepted(self):
-        params = {"pump_power_mw": 0, "duration_s": 0.5, "bin_width_ps": 1,
-                  "window_ns": 2}
-        m = manifest_from_dict({"scenarios": [{"name": "cc", "kind": "coincidence_si",
-                                               "params": params}]})
-        assert m.scenarios[0].params == params
-
-    @pytest.mark.parametrize("kind", ["coincidence_si", "coincidence_so"])
-    @pytest.mark.parametrize("params, shown, half_bins", [
-        ({"window_ns": 0.1}, "0.1 and 'bin_width_ps' 165", 1),
-        ({"window_ns": 1.49, "bin_width_ps": 1000}, "1.49 and 'bin_width_ps' 1000", 1),
-        ({"window_ns": 20, "bin_width_ps": 10 ** 6}, "20 and 'bin_width_ps' 1000000", 0),
-    ])
-    def test_window_under_two_bins_is_named(self, kind, params, shown, half_bins):
+    def test_window_out_of_range_is_named(self, kind, params, ratio):
         data = {"scenarios": [{"name": "cc", "kind": kind, "params": params}]}
+        bin_ps = params.get("bin_width_ps", 165)
+        shown = f"{params['window_ns']!r} and 'bin_width_ps' {bin_ps}"
         with pytest.raises(ScenarioError, match=re.escape(
                 f"scenario 'cc' ({kind}): params 'window_ns' {shown} give "
-                f"round(window_ns * 1e3 / bin_width_ps) = {half_bins}; it must be >= 2")):
+                f"window_ns * 1e3 / bin_width_ps = {ratio}; 2 * round() of it must be "
+                "4 to 1048576 bins")):
             manifest_from_dict(data)
 
-    @pytest.mark.parametrize("params", [{"window_ns": 1.5, "bin_width_ps": 1000},
-                                        {"window_ns": 0.33}])
-    def test_window_of_two_bins_is_accepted(self, params):
-        # round(1.5) and round(0.33e3 / 165) are 2: a 4-bin histogram
+    @pytest.mark.parametrize("params, half_bins", [
+        ({"window_ns": 1.5, "bin_width_ps": 1000}, 2),      # round(1.5) is 2: 4 bins
+        ({"window_ns": 0.33}, 2),                           # round(0.33e3 / 165) is 2
+        ({"window_ns": 524288.5, "bin_width_ps": 1000}, 2 ** 19),   # 2**20 bins
+    ])
+    def test_window_in_range_is_accepted(self, params, half_bins):
         m = manifest_from_dict({"scenarios": [{"name": "cc", "kind": "coincidence_so",
                                                "params": params}]})
-        assert scenarios._coincidence_window(m.scenarios[0].params)[2] == 2
+        params = m.scenarios[0].params
+        assert round(params["window_ns"] * 1e3 / params["bin_width_ps"]) == half_bins
 
-    @pytest.mark.parametrize("params", [{"bin_width_ps": 0}, {"duration_s": "x"},
-                                        {"duration_s": None}, {"window_ns": 0.1}])
-    def test_cli_bad_coincidence_param_exits_config_without_traceback(self, tmp_path,
-                                                                      params):
+    @pytest.mark.parametrize("kind, duration_s", [("coincidence_si", 30),
+                                                  ("coincidence_so", 20)])
+    def test_window_past_int64_is_named(self, kind, duration_s):
+        # a 4-bin window of bin_ps and tags in [0, duration): pair_histogram
+        # needs 4 * bin_ps + duration_ps within 2**63 ps, so bin_ps = edge is
+        # the first refused (one ps short of the kernel's own limit) and
+        # edge + 1 past that limit; the float sum's rounding takes the last
+        # accepted down to 1024 ps below the edge
+        edge = (2 ** 63 - duration_s * 10 ** 12) // 4
+        tags = np.array([0, duration_s * 10 ** 12 - 1])
+        for bin_ps in (edge - 1024, edge, edge + 1):
+            params = {"bin_width_ps": bin_ps, "window_ns": 2 * bin_ps / 1e3}
+            if bin_ps < edge:
+                assert Scenario("cc", kind, params).params["bin_width_ps"] == bin_ps
+                continue
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"scenario 'cc' ({kind}): params 'window_ns' {params['window_ns']!r} "
+                    f"and 'bin_width_ps' {bin_ps} give a {4 * bin_ps} ps window; with "
+                    f"'duration_s' {float(duration_s)} it must span less than 2**63 ps")):
+                Scenario("cc", kind, params)
+        with pytest.raises(ValueError, match="must lie in int64"):
+            pair_histogram(tags, tags, -2 * (edge + 1), 2 * (edge + 1), edge + 1)
+        assert pair_histogram(tags, tags, -2 * edge, 2 * edge, edge).sum() == 4
+
+    @pytest.mark.parametrize("kind, params", [
+        ("noise_sweep", {"n_seeds": "x"}),
+        ("efficiency_sweep", {"powers_mw": "abc"}),
+        ("fock_demo", {"n_max": -1}),
+        ("coincidence_so", {"window_ns": 1e306}),
+        ("coincidence_so", {"window_ns": 0.1}),
+        ("coincidence_so", {"bin_width_ps": 0}),
+        ("coincidence_si", {"duration_s": None}),
+        ("coincidence_so", {"duration_s": "x"}),
+        ("snr_sweep", {"etalon": "yes"}),
+    ])
+    def test_cli_bad_param_exits_config_without_traceback(self, tmp_path, kind, params):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"scenarios": [
-            {"name": "cc", "kind": "coincidence_so", "params": params}]}))
+            {"name": "sc", "kind": kind, "params": params}]}))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(qfclab.__file__).parents[1])]
@@ -616,7 +711,7 @@ class TestManifest:
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: scenario 'cc'"), proc.stderr
+        assert lines[0].startswith(f"error: scenario 'sc' ({kind}): "), proc.stderr
         assert repr(next(iter(params))) in lines[0]
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()

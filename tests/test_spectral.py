@@ -8,8 +8,8 @@ from qfclab import spectral
 from qfclab.config import (bundled_losses, bundled_model, narrowline_filter,
                            uv_bandpass, uv_etalon, uv_spectrometer, uv_stack)
 from qfclab.montecarlo import ScenarioConfig, branch_rates
-from qfclab.scenarios import (compute_noise_sweep, compute_snr_sweep, idler_channel,
-                              output_channel, signal_channel)
+from qfclab.scenarios import (Scenario, compute_noise_sweep, compute_snr_sweep,
+                              idler_channel, output_channel, signal_channel)
 from qfclab.spectral import (_GL_NODES, _GL_WEIGHTS, C_NM_GHZ, SpectralFilter,
                              _panel_edges, _sinc2_shape, _stack_integrals,
                              band_fraction, cascade_rate, conversion_efficiency,
@@ -591,8 +591,9 @@ class TestQuadratureRule:
             return inner(filters, frequency_ghz)
 
         monkeypatch.setattr(spectral, "stack_transmission", recorded)
-        compute_snr_sweep(model, losses, {}, seed=1)
-        compute_noise_sweep(model, losses, {"n_seeds": 1}, seed=1)
+        noise = Scenario("ns", "noise_sweep", {"n_seeds": 1})
+        compute_snr_sweep(model, losses, Scenario("snr", "snr_sweep").params, seed=1)
+        compute_noise_sweep(model, losses, noise.params, seed=1)
         for channels in ({"signal": signal_channel(model), "idler": idler_channel(model)},
                          {"signal": signal_channel(model, vbg=True),
                           "output": output_channel(model, losses)}):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,37 @@ class TestHistogram:
                 sliced = coincidence_histogram_sliced(a, b, 100, (-10_000, 10_000),
                                                       n_slices)
                 assert np.array_equal(full.counts, sliced.counts)
+
+    # bins of 1e17 ps over (-1e17, 2e17): a + tau_max leaves int64 from
+    # a = 2**63 - 2e17 on; the first pair is the last in range, the others
+    # past it (the last with the span of b of every slice empty)
+    _EDGE = 2 ** 63 - 2 * 10 ** 17
+
+    @pytest.mark.parametrize("a, b, counts", [
+        ([_EDGE - 1], [_EDGE + 99], [0, 1, 0]),
+        ([_EDGE], [_EDGE + 100], None),
+        ([9_100_000_000_000_000_000], [9_100_000_000_000_000_100], None),
+        ([9_200_000_000_000_000_000], [0], None),
+    ])
+    def test_sliced_meets_single_pass_at_the_int64_edge(self, a, b, counts):
+        a, b = stream(a, 9.223e6), stream(b, 9.223e6, channel=1)
+        window = (10 ** 17, (-10 ** 17, 2 * 10 ** 17))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no int64 wrap, not even a warning
+            if counts is not None:
+                full = coincidence_histogram(a, b, *window)
+                assert full.counts.tolist() == counts
+            else:
+                with pytest.raises(ValueError, match="must lie in int64") as single:
+                    coincidence_histogram(a, b, *window)
+            for n_slices in (1, 2, 3):
+                if counts is not None:
+                    sliced = coincidence_histogram_sliced(a, b, *window, n_slices)
+                    assert np.array_equal(sliced.counts, full.counts)
+                    continue
+                with pytest.raises(ValueError) as info:
+                    coincidence_histogram_sliced(a, b, *window, n_slices)
+                assert str(info.value) == str(single.value)
 
     def test_unsorted_stream_rejected(self):
         with pytest.raises(ValueError, match="timestamps must be sorted"):
