@@ -23,17 +23,26 @@ Determinism: the acquisition is generated in fixed 1 s slices, each stream
 seeded by SeedSequence(seed, slice_index, stream_index), where
 stream_index is the position of the stream's name in `_STREAM_ORDER`:
 first the nine Poisson branches (their uniform times), then one jitter
-stream per (coincident branch, channel) pair. `generate_streams` runs the
-slices concurrently on the block pool of `_kernels._map_blocks`, one
-contiguous block of slices per worker and at most one worker per CPU this
-process may use. Each slice comes back rounded and sorted in int64 per
-channel, and the slices are joined in slice order, so the streams are
-bitwise identical for any number of workers. Only a jittered pair tag can
-cross a slice junction, and then the joined stream is sorted again. The
-slice workers only sample, round and sort, where numpy releases the GIL.
-The rates and the outer call of the dead-time filter run on the calling
-thread; the filter masks the parts of a long stream on the same pool,
-after the slices.
+stream per (coincident branch, channel) pair.
+
+Each tag is written once, into one buffer per channel. `generate_streams`
+first draws, on the calling thread, the Poisson count of every branch of
+every slice; the counts size the buffers, and slice k owns one contiguous
+region of each. The slices then fill their regions concurrently on the
+block pool of `_kernels._map_blocks`, one contiguous block of slices per
+worker and at most one worker per CPU this process may use. A branch's
+times are drawn straight into its part of the region (`rng.random` scaled
+in place, the bits of `rng.uniform`); a two-channel branch copies them into
+its second channel's region before each channel's jitter is added. Each
+region is then sorted as floats and rounded to int64 in place. So the
+joined stream is the buffer itself, bitwise identical for any number of
+workers, and it can be out of order only at a junction of two regions,
+where only a jittered pair tag can invert it: only then is it sorted again.
+The slice workers only sample, round and sort, where numpy releases the
+GIL. The rates, the cut to [0, duration) and the outer call of the
+dead-time filter run on the calling thread; the filter masks the parts of
+a long stream on the same pool, and the kept tags are packed together in
+place, in chunks. The TagStream views them in the buffer.
 """
 
 import math
@@ -217,11 +226,6 @@ def _slice_rng(seed, slice_index, stream_index):
     return np.random.default_rng(np.random.SeedSequence((seed, slice_index, stream_index)))
 
 
-def _poisson_times(rng, rate_hz, t0_s, t1_s):
-    n = rng.poisson(rate_hz * (t1_s - t0_s))
-    return rng.uniform(t0_s * _PS, t1_s * _PS, n)
-
-
 _BRANCH_CHANNELS = {
     "s+o": ("signal", "output"),
     "s+i": ("signal", "idler"),
@@ -234,44 +238,82 @@ _BRANCH_CHANNELS = {
     "input_o": ("output",),
 }
 _JITTERED = ("s+o", "s+i")
+_CHUNK = 1 << 16    # tags per in-place cast or compaction step: bounds its temporaries
 
 
-def _slice_tags(scenario, rates, k):
-    """Slice k of the acquisition: {channel: sorted int64 ps tags}.
+def _slice_window(scenario, k):
+    """[t0, t1) of slice k, in s."""
+    return k * _SLICE_S, min((k + 1) * _SLICE_S, scenario.duration_s)
 
-    Tags are rounded but not yet cut to the acquisition, so a pair tag
-    jittered across either end of the slice is kept.
-    """
-    t0 = k * _SLICE_S
-    t1 = min((k + 1) * _SLICE_S, scenario.duration_s)
-    parts = {name: [] for name in scenario.channels}
+
+def _uniform_times(rng, out, t0_s, t1_s):
+    """rng.uniform(t0_s * _PS, t1_s * _PS, len(out)) drawn into out, bit for
+    bit: uniform is lo + (hi - lo) * random(), in that order."""
+    lo, hi = t0_s * _PS, t1_s * _PS
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+
+
+def _slice_draws(scenario, rates, k):
+    """Slice k's branches that have tags, in _BRANCH_CHANNELS order: (branch,
+    its Generator with the Poisson count drawn, the count, its channels)."""
+    t0, t1 = _slice_window(scenario, k)
+    draws = []
     for stream, branch_channels in _BRANCH_CHANNELS.items():
         rate = rates.get(stream, 0.0)
         channels = [c for c in branch_channels if c in scenario.channels]
         if rate <= 0 or not channels:
             continue
-        times = _poisson_times(_slice_rng(scenario.seed, k, _STREAM_ORDER.index(stream)),
-                               rate, t0, t1)
+        rng = _slice_rng(scenario.seed, k, _STREAM_ORDER.index(stream))
+        n = int(rng.poisson(rate * (t1 - t0)))
+        if n:
+            draws.append((stream, rng, n, channels))
+    return draws
+
+
+def _fill_slice(scenario, k, draws, regions):
+    """Draws slice k into its regions, {channel: int64 view}, and leaves each
+    sorted and rounded. draws are `_slice_draws(scenario, rates, k)`, and a
+    region holds its channel's branches in their order. Tags are not cut to
+    the acquisition, so a pair tag jittered across either end of the slice
+    is kept."""
+    t0, t1 = _slice_window(scenario, k)
+    at = dict.fromkeys(regions, 0)
+    for stream, rng, n, channels in draws:
+        segs = [regions[c][at[c]:at[c] + n].view(np.float64) for c in channels]
         for c in channels:
-            cfg = scenario.channels[c]
-            if stream in _JITTERED and cfg.jitter_fwhm_ps > 0:
-                rng = _slice_rng(scenario.seed, k,
-                                 _STREAM_ORDER.index(f"jitter_{stream}_{c}"))
-                sigma_ps = cfg.jitter_fwhm_ps / 2.3548200450309493
-                parts[c].append(times + rng.normal(0.0, sigma_ps, len(times)))
-            else:
-                parts[c].append(times)
-    out = {}
-    for c, channel_parts in parts.items():
-        if not channel_parts:
+            at[c] += n
+        _uniform_times(rng, segs[0], t0, t1)
+        for seg in segs[1:]:
+            seg[:] = segs[0]
+        if stream not in _JITTERED:
             continue
-        raw = np.concatenate(channel_parts)     # a new array: safe to update in place
+        for c, seg in zip(channels, segs):
+            fwhm = scenario.channels[c].jitter_fwhm_ps
+            if fwhm > 0:
+                jrng = _slice_rng(scenario.seed, k, _STREAM_ORDER.index(f"jitter_{stream}_{c}"))
+                seg += jrng.normal(0.0, fwhm / 2.3548200450309493, n)
+    for r in regions.values():
+        f = r.view(np.float64)
         # sorted as floats (faster here than as int64), then rounded: rint
-        # keeps the order, so the int64 tags come out sorted
-        raw.sort()
-        np.rint(raw, out=raw)
-        out[c] = raw.astype(np.int64)
-    return out
+        # keeps the order. Cast by chunks: on a whole region, numpy would
+        # copy it first, as the float and int64 views overlap
+        f.sort()
+        for i in range(0, len(r), _CHUNK):
+            np.rint(f[i:i + _CHUNK], out=r[i:i + _CHUNK], casting="unsafe")
+
+
+def _compact(t, keep):
+    """Moves the tags t[keep] to the front of t, in order; returns their
+    number. Each chunk is copied out before it is written, and the write
+    never passes the chunk read."""
+    w = 0
+    for i in range(0, len(t), _CHUNK):
+        kept = t[i:i + _CHUNK][keep[i:i + _CHUNK]]
+        t[w:w + len(kept)] = kept
+        w += len(kept)
+    return w
 
 
 def generate_streams(scenario, model):
@@ -288,23 +330,35 @@ def generate_streams(scenario, model):
                 f"expected event count for {name} exceeds 2^62; reduce rate or duration")
 
     n_slices = max(1, math.ceil(scenario.duration_s / _SLICE_S))
-    blocks = _map_blocks(
-        lambda lo, hi: [_slice_tags(scenario, rates, k) for k in range(lo, hi)], n_slices)
-    slices = [s for block in blocks for s in block]
+    # the Poisson counts, drawn here, size one buffer per channel: slice k
+    # of channel c is bufs[c][bounds[c][k]:bounds[c][k + 1]]
+    draws = [_slice_draws(scenario, rates, k) for k in range(n_slices)]
+    bounds = {c: np.cumsum([0] + [sum(n for *_, n, chs in d if c in chs) for d in draws])
+              for c in scenario.channels}
+    bufs = {c: np.empty(int(b[-1]), dtype=np.int64) for c, b in bounds.items()}
+
+    def fill(lo, hi):
+        for k in range(lo, hi):
+            _fill_slice(scenario, k, draws[k],
+                        {c: buf[bounds[c][k]:bounds[c][k + 1]] for c, buf in bufs.items()})
+
+    _map_blocks(fill, n_slices)
 
     duration_ps = round(scenario.duration_s * _PS)
     out = {}
     for c, cfg in scenario.channels.items():
-        parts = [s.pop(c) for s in slices if c in s]
-        t = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        del parts
-        # only a pair tag jittered across a slice junction leaves t unsorted
-        if not is_sorted(t):
+        t = bufs[c]
+        # each slice is sorted, so only the junctions can be inverted, and
+        # only by a pair tag jittered across one; an empty slice repeats a
+        # junction, and the ends are no junctions
+        j = bounds[c][1:-1]
+        j = j[(j > 0) & (j < len(t))]
+        if np.any(t[j - 1] > t[j]):
             t.sort(kind="stable")
         lo, hi = np.searchsorted(t, (0, duration_ps))
         t = t[lo:hi]
         if cfg.dead_time_ns > 0 and len(t):
-            t = t[dead_time_mask(t, int(round(cfg.dead_time_ns * 1e3)))]
+            t = t[:_compact(t, dead_time_mask(t, int(round(cfg.dead_time_ns * 1e3))))]
         out[c] = TagStream(CHANNEL_IDS[c], t, scenario.duration_s,
                            meta={"channel_name": c, "pump_power_mw": scenario.pump_power_mw,
                                  "seed": scenario.seed})

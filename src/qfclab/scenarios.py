@@ -260,7 +260,10 @@ def compute_snr_sweep(model, losses, params, seed):
     for p, s_model, n_model in zip(powers, s_models.tolist(), n_models.tolist()):
         s_sim = rng.poisson(s_model * t_acq) / t_acq
         n_sim = rng.poisson(n_model * t_acq) / t_acq
-        rows.append((p, s_sim, n_sim, s_sim / n_sim, s_model / n_model))
+        # a short acquisition can count no noise: its SNR is then inf, or
+        # nan when it counts nothing at all
+        snr_sim = s_sim / n_sim if n_sim else (math.inf if s_sim else math.nan)
+        rows.append((p, s_sim, n_sim, snr_sim, s_model / n_model))
     below = [r for r in rows if r[0] <= 200.0]
     above = [r for r in rows if r[0] >= 200.0]
     ok_below = all(r[3] >= 2.0 for r in below)
@@ -505,14 +508,18 @@ def run_scenario(scenario, model=None, losses=None, output_dir="out",
                  global_seed=12345):
     """Execute one scenario: artifacts on disk plus a summary record of it and its params.
 
-    Artifacts are deterministic for a fixed manifest seed. On write
-    failure, this scenario's partial outputs are removed.
+    Artifacts are deterministic for a fixed manifest seed. A ValueError of
+    the computation is raised as a ScenarioError naming the scenario and its
+    kind. On write failure, this scenario's partial outputs are removed.
     """
     model = model if model is not None else bundled_model()
     losses = losses if losses is not None else bundled_losses()
     compute = _COMPUTE[scenario.kind]
     seed = derive_seed(global_seed, scenario.name)
-    result = compute(model, losses, scenario.params, seed)
+    try:
+        result = compute(model, losses, scenario.params, seed)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario {scenario.name!r} ({scenario.kind}): {exc}") from exc
 
     cfg_hash = config_hash(config_to_dict(model, losses))
     outdir = Path(output_dir)

@@ -716,6 +716,46 @@ class TestManifest:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_cli_error_after_the_param_checks_names_the_scenario(self, tmp_path):
+        # the params are valid, but with the pump off and 10 ms of light the
+        # histogram's baseline is empty, which g2_from_histogram refuses
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"scenarios": [
+            {"name": "dark", "kind": "coincidence_si",
+             "params": {"pump_power_mw": 0, "duration_s": 0.01}}]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qfclab.__file__).parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfclab.cli", "run", "--manifest", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: scenario 'dark' (coincidence_si): baseline has zero counts"], proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_snr_sweep_without_noise_counts_reports_its_checks(self, tmp_path):
+        # 1 ms acquisitions at seed 40: at 25 mW neither count sees a tag
+        # (SNR nan), and at 50 and 75 mW only the noise count sees none (inf)
+        manifest = manifest_from_dict({
+            "seed": 40, "output_dir": str(tmp_path),
+            "scenarios": [{"name": "snr", "kind": "snr_sweep",
+                           "params": {"acquisition_s": 0.001}}]})
+        [summary] = scenarios.run_manifest(manifest)
+        assert [c["name"] for c in summary["checks"]] == [
+            "snr_above_2_up_to_200mw", "snr_degrades_beyond_200mw"]
+        assert not summary["passed"]
+        _, _, rows = read_table(tmp_path / "snr_snr.csv")
+        snr = {p: (s, n, q) for p, s, n, q, _ in rows}
+        assert snr[25][:2] == (0, 0) and math.isnan(snr[25][2])
+        assert snr[50][1] == snr[75][1] == 0 and snr[50][2] == snr[75][2] == math.inf
+        for s, n, q in snr.values():
+            if n:
+                assert q == pytest.approx(s / n, rel=1e-11)
+
     def test_default_covers_all_kinds(self):
         from qfclab.scenarios import KINDS
         m = default_manifest()

@@ -1,9 +1,12 @@
 import concurrent.futures
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfclab import _kernels, montecarlo
 from qfclab._kernels import dead_time_mask, is_sorted
@@ -59,8 +62,13 @@ class TestGeneration:
     def test_last_picosecond_kept(self, model, monkeypatch):
         # the generator bounds tags with TagStream's rounding of the duration
         last = 4_099_999_999_999
-        monkeypatch.setattr(montecarlo, "_poisson_times",
-                            lambda rng, rate, t0, t1: np.array([float(last)]))
+
+        class OneTag:
+            def poisson(self, lam):
+                return 1
+        monkeypatch.setattr(montecarlo, "_slice_rng", lambda *seeds: OneTag())
+        monkeypatch.setattr(montecarlo, "_uniform_times",
+                            lambda rng, out, t0, t1: out.fill(float(last)))
         stream = generate_streams(dark_only_scenario(13.0, 4.1), model)["output"]
         assert stream.tags.tolist() == [last] * 5
 
@@ -201,7 +209,7 @@ class TestGeneration:
         full = generate_streams(sc, model)
         margin = 10 ** 6
         for k in range(3):
-            alone = montecarlo._slice_tags(sc, rates, k)
+            alone = slice_alone(sc, rates, k)
             lo = k * 10 ** 12 + margin
             hi = min(k + 1, 2.5) * 10 ** 12 - margin
             for c, stream in full.items():
@@ -285,8 +293,8 @@ class TestGeneratorStatistics:
         stream = montecarlo._STREAM_ORDER.index("bg_output")
         want = []
         for k, (t0, t1) in enumerate([(0.0, 1.0), (1.0, 2.0), (2.0, 2.5)]):
-            times = montecarlo._poisson_times(montecarlo._slice_rng(8, k, stream),
-                                              20_000.0, t0, t1)
+            rng = montecarlo._slice_rng(8, k, stream)
+            times = rng.uniform(t0 * 1e12, t1 * 1e12, rng.poisson(20_000.0 * (t1 - t0)))
             want.append(np.sort(np.rint(times)).astype(np.int64))
         got = generate_streams(sc, model)["output"].tags
         assert len(got) > 40_000
@@ -310,11 +318,23 @@ class TestNonFiniteInputs:
             ScenarioConfig(**kwargs)
 
 
+def slice_alone(scenario, rates, k):
+    """Slice k drawn on its own into fresh buffers: {channel: sorted int64
+    ps tags}, not cut to the acquisition."""
+    draws = montecarlo._slice_draws(scenario, rates, k)
+    regions = {c: np.empty(sum(n for *_, n, chs in draws if c in chs), dtype=np.int64)
+               for c in scenario.channels}
+    montecarlo._fill_slice(scenario, k, draws, regions)
+    return regions
+
+
 def serial_generate_streams(scenario, model):
     """The serial generator that the threaded one replaced: every slice kept
     as float64 on one thread, then per channel one global rint and sort,
     a range mask and the dead-time filter. Each coincident branch is
-    jittered per channel from its own stream; no other branch is jittered."""
+    jittered per channel from its own stream; no other branch is jittered.
+    The times come from rng.uniform, so the oracle checks the generator's
+    in-place draws against it bit for bit."""
     rates = branch_rates(scenario, model)
     n_slices = max(1, math.ceil(scenario.duration_s / montecarlo._SLICE_S))
     per_channel = {name: [] for name in scenario.channels}
@@ -329,8 +349,8 @@ def serial_generate_streams(scenario, model):
                         if c in scenario.channels]
             if rate <= 0 or not channels:
                 continue
-            times = montecarlo._poisson_times(montecarlo._slice_rng(scenario.seed, k, si),
-                                              rate, t0, t1)
+            rng = montecarlo._slice_rng(scenario.seed, k, si)
+            times = rng.uniform(t0 * 1e12, t1 * 1e12, rng.poisson(rate * (t1 - t0)))
             for c in channels:
                 jit_fwhm = scenario.channels[c].jitter_fwhm_ps
                 if stream in ("s+o", "s+i") and jit_fwhm > 0:
@@ -403,12 +423,59 @@ class TestSerialOracle:
         # takes its re-sort path, and the cut drops tags at both ends
         sc = pair_scenario(2.5, 9, jitter_fwhm_ps=1e11, dead_time_ns=dead_time_ns)
         rates = branch_rates(sc, model)
-        slices = [montecarlo._slice_tags(sc, rates, k) for k in range(3)]
+        slices = [slice_alone(sc, rates, k) for k in range(3)]
         for c in sc.channels:
             joined = np.concatenate([s[c] for s in slices])
             assert not is_sorted(joined), c
             assert joined.min() < 0 and joined.max() >= round(sc.duration_s * 1e12)
         assert_matches_serial(sc, model)
+
+
+def test_allocation_peak_stays_near_the_tags_returned(model, workers):
+    # coincidence_so's channel set for 3 s (about 1.8M tags): each tag is
+    # drawn into its channel's buffer and never copied whole, so the peak
+    # is that buffer plus the dead-time filter's masks: 1.24-1.38 at 1-3
+    # workers, where copies of the tags per slice and per channel read 1.66-1.88
+    from qfclab.scenarios import output_channel, signal_channel
+    sc = ScenarioConfig(pump_power_mw=200.0, duration_s=3.0, seed=3,
+                        channels={"signal": signal_channel(model, vbg=True),
+                                  "output": output_channel(model, bundled_losses())})
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        streams = generate_streams(sc, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(s.tags.nbytes for s in streams.values())
+    assert returned > 10 ** 7
+    assert peak <= 1.5 * returned, peak / returned
+
+
+# seed 1133: the output's four slices hold 2, 0, 4 and 1 tags, and a pair
+# tag jittered across the last junction inverts it
+@example(duration_s=3.5, seed=1133, pump_power_mw=0.07, jitter_fwhm_ps=1e11,
+         dead_time_ns=5000.0, dark_hz=(2000.0, 2000.0, 1.0))
+@settings(max_examples=100, deadline=None)
+@given(duration_s=st.floats(0.0, 3.5), seed=st.integers(0, 2 ** 32),
+       pump_power_mw=st.floats(0.0, 0.07),
+       jitter_fwhm_ps=st.one_of(st.just(0.0), st.floats(0.0, 1e11)),
+       dead_time_ns=st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),
+       dark_hz=st.tuples(st.floats(0.0, 2000.0), st.floats(0.0, 2000.0), st.floats(0.0, 1.0)))
+def test_matches_serial_oracle_at_1_2_and_3_workers(model, duration_s, seed, pump_power_mw,
+                                                     jitter_fwhm_ps, dead_time_ns, dark_hz):
+    # lossless paths: the idler takes nearly every pair, and the output only
+    # the converted ones (under 1 Hz at 0.07 mW) and under 1 Hz of dark
+    # counts, so its slices can be empty between non-empty ones
+    channels = {c: ChannelConfig(losses=lossless_budget(), jitter_fwhm_ps=jitter_fwhm_ps,
+                                 dead_time_ns=dead_time_ns, dark_hz=d)
+                for c, d in zip(("signal", "idler", "output"), dark_hz)}
+    sc = ScenarioConfig(pump_power_mw=pump_power_mw, duration_s=duration_s, seed=seed,
+                        channels=channels)
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_usable_cpus", lambda: workers)
+            assert_matches_serial(sc, model)
 
 
 def test_rates_and_dead_time_stay_on_calling_thread(model, monkeypatch):
