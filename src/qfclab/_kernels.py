@@ -28,7 +28,10 @@ the stream at tags that are always kept and masks each part on its own. The
 results are exact integers and masks, so they do not depend on the number
 of workers. The public calls stay on the calling thread and the workers run
 private functions only; called off the main thread, the pool runs its one
-block serially, so pools never nest.
+block serially, so pools never nest. The event generator's slice workers
+run the dead time of each slice through `_dead_time_part` too, and
+`coincidence_histogram_sliced` puts the chunks of all its slices through
+`_pair_counts` in one pool call.
 """
 
 import os
@@ -49,6 +52,14 @@ def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _map_blocks(fn, n):
@@ -266,7 +277,8 @@ def _cluster_start(t, p, dead):
 
 def _dead_time_part(t, dead, kept):
     """Writes into ``kept`` the keep-mask of the tags t, whose first tag is
-    kept: one part of `dead_time_mask`, which states the method."""
+    kept: one part of `dead_time_mask`, which states the method, or one
+    slice of `montecarlo.generate_streams`."""
     kept[:1] = True
     # gaps by chunks: on a worker thread, a part-sized int64 temporary would
     # stay in the thread's malloc arena and raise the process's peak RSS

@@ -26,23 +26,30 @@ first the nine Poisson branches (their uniform times), then one jitter
 stream per (coincident branch, channel) pair.
 
 Each tag is written once, into one buffer per channel. `generate_streams`
-first draws, on the calling thread, the Poisson count of every branch of
-every slice; the counts size the buffers, and slice k owns one contiguous
-region of each. The slices then fill their regions concurrently on the
-block pool of `_kernels._map_blocks`, one contiguous block of slices per
-worker and at most one worker per CPU this process may use. A branch's
-times are drawn straight into its part of the region (`rng.random` scaled
-in place, the bits of `rng.uniform`); a two-channel branch copies them into
-its second channel's region before each channel's jitter is added. Each
-region is then sorted as floats and rounded to int64 in place. So the
-joined stream is the buffer itself, bitwise identical for any number of
-workers, and it can be out of order only at a junction of two regions,
-where only a jittered pair tag can invert it: only then is it sorted again.
-The slice workers only sample, round and sort, where numpy releases the
-GIL. The rates, the cut to [0, duration) and the outer call of the
-dead-time filter run on the calling thread; the filter masks the parts of
-a long stream on the same pool, and the kept tags are packed together in
-place, in chunks. The TagStream views them in the buffer.
+first draws on the calling thread, slice by slice, the Poisson count of
+every branch and the times of the two coincident branches, each channel's
+jitter added. It routes each pair time to the slice its rint lands in,
+clipped to the first and last slice. Every other tag of slice k rounds
+into [k, k + 1] s, so the slices, each sorted, join into a sorted stream
+and nothing is sorted again. The counts and the routed pair tags size the
+buffers, and slice k owns one contiguous region of each. The slices are
+then finished on the block pool of `_kernels._map_blocks`, one contiguous
+block of slices per worker and at most one worker per CPU this process
+may use. A worker takes the slices of its block in order. It draws the
+one-channel branches straight into the region (`rng.random` scaled in
+place, the bits of `rng.uniform`) and copies the routed pair times in,
+sorts the region as floats and rounds it to int64 in place, and cuts it
+to [0, duration). It then applies the dead time from the detector's ready
+time after the slice before (`_kernels._dead_time_part`), and packs the
+kept tags behind the block's earlier ones, in chunks. A block that does
+not start the acquisition cannot know the detector's state at its start:
+its head, the tags before its first gap of at least the dead time, is
+packed unfiltered, since the tag after such a gap is always kept. The
+calling thread then filters each head from the ready time the block
+before left, and moves each block down behind the kept tags before it.
+The workers only sample, sort, round and filter, where numpy releases the
+GIL, and the streams are bitwise identical for any number of workers.
+The TagStream views the kept tags in the buffer.
 """
 
 import math
@@ -50,7 +57,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import _map_blocks, dead_time_mask, is_sorted
+from ._kernels import (_cluster_start, _dead_time_part, _map_blocks, _physical_memory,
+                       is_sorted)
 from .spectral import _converted_input_rate, band_fraction, conversion_efficiency
 
 CHANNELS = ("signal", "idler", "output")
@@ -203,15 +211,13 @@ def branch_rates(scenario, model):
 
 def expected_rates(scenario, model):
     """Expected detected singles rate per channel, before dead-time losses."""
-    r = branch_rates(scenario, model)
-    out = {}
-    if "signal" in scenario.channels:
-        out["signal"] = r["s+o"] + r["s+i"] + r["s_only"] + r["bg_signal"]
-    if "idler" in scenario.channels:
-        out["idler"] = r["s+i"] + r["i_only"] + r["bg_idler"]
-    if "output" in scenario.channels:
-        out["output"] = r["s+o"] + r["o_only"] + r["bg_output"] + r.get("input_o", 0.0)
-    return out
+    return _channel_rates(scenario, branch_rates(scenario, model))
+
+
+def _channel_rates(scenario, rates):
+    """The sum of the branch rates reaching each channel of the scenario."""
+    return {c: sum(rate for stream, rate in rates.items() if c in _BRANCH_CHANNELS[stream])
+            for c in CHANNELS if c in scenario.channels}
 
 
 # the SeedSequence stream index of each random stream of a slice: its
@@ -256,10 +262,16 @@ def _uniform_times(rng, out, t0_s, t1_s):
 
 
 def _slice_draws(scenario, rates, k):
-    """Slice k's branches that have tags, in _BRANCH_CHANNELS order: (branch,
-    its Generator with the Poisson count drawn, the count, its channels)."""
+    """Slice k's draws, made on the calling thread: (draws, pairs).
+
+    draws lists the one-channel branches that have tags, in
+    _BRANCH_CHANNELS order, as (channel, its Generator with the Poisson
+    count drawn, the count). pairs maps each channel to the times of the
+    coincident branches that reach it, float ps, each channel's jitter
+    added and not cut to the slice.
+    """
     t0, t1 = _slice_window(scenario, k)
-    draws = []
+    draws, pairs = [], {c: [] for c in scenario.channels}
     for stream, branch_channels in _BRANCH_CHANNELS.items():
         rate = rates.get(stream, 0.0)
         channels = [c for c in branch_channels if c in scenario.channels]
@@ -267,53 +279,108 @@ def _slice_draws(scenario, rates, k):
             continue
         rng = _slice_rng(scenario.seed, k, _STREAM_ORDER.index(stream))
         n = int(rng.poisson(rate * (t1 - t0)))
-        if n:
-            draws.append((stream, rng, n, channels))
-    return draws
-
-
-def _fill_slice(scenario, k, draws, regions):
-    """Draws slice k into its regions, {channel: int64 view}, and leaves each
-    sorted and rounded. draws are `_slice_draws(scenario, rates, k)`, and a
-    region holds its channel's branches in their order. Tags are not cut to
-    the acquisition, so a pair tag jittered across either end of the slice
-    is kept."""
-    t0, t1 = _slice_window(scenario, k)
-    at = dict.fromkeys(regions, 0)
-    for stream, rng, n, channels in draws:
-        segs = [regions[c][at[c]:at[c] + n].view(np.float64) for c in channels]
-        for c in channels:
-            at[c] += n
-        _uniform_times(rng, segs[0], t0, t1)
-        for seg in segs[1:]:
-            seg[:] = segs[0]
-        if stream not in _JITTERED:
+        if not n:
             continue
-        for c, seg in zip(channels, segs):
+        if stream not in _JITTERED:
+            draws.append((channels[0], rng, n))
+            continue
+        times = np.empty(n)
+        _uniform_times(rng, times, t0, t1)
+        for c in channels:
             fwhm = scenario.channels[c].jitter_fwhm_ps
+            jittered = times
             if fwhm > 0:
                 jrng = _slice_rng(scenario.seed, k, _STREAM_ORDER.index(f"jitter_{stream}_{c}"))
-                seg += jrng.normal(0.0, fwhm / 2.3548200450309493, n)
-    for r in regions.values():
-        f = r.view(np.float64)
-        # sorted as floats (faster here than as int64), then rounded: rint
-        # keeps the order. Cast by chunks: on a whole region, numpy would
-        # copy it first, as the float and int64 views overlap
-        f.sort()
-        for i in range(0, len(r), _CHUNK):
-            np.rint(f[i:i + _CHUNK], out=r[i:i + _CHUNK], casting="unsafe")
+                jittered = times + jrng.normal(0.0, fwhm / 2.3548200450309493, n)
+            pairs[c].append(jittered)
+    return draws, pairs
 
 
-def _compact(t, keep):
-    """Moves the tags t[keep] to the front of t, in order; returns their
-    number. Each chunk is copied out before it is written, and the write
-    never passes the chunk read."""
-    w = 0
-    for i in range(0, len(t), _CHUNK):
-        kept = t[i:i + _CHUNK][keep[i:i + _CHUNK]]
-        t[w:w + len(kept)] = kept
+def _route(times, k, slices):
+    """Appends the pair times of slice k to slices, one list per slice: each
+    time to the slice its rint lands in, clipped to the first and last."""
+    dest = np.rint(times).astype(np.int64)
+    dest //= _PS
+    np.clip(dest, 0, len(slices) - 1, out=dest)
+    if (dest == k).all():
+        slices[k].append(times)
+        return
+    for d in np.unique(dest):
+        slices[d].append(times[dest == d])
+
+
+def _fill(region, draws, pairs, t0_s, t1_s):
+    """Draws one slice of one channel into region, int64, and leaves it
+    sorted and rounded: the times of draws, [(Generator, count)], straight
+    into it, then a copy of the pair times routed to it."""
+    f = region.view(np.float64)
+    at = 0
+    for rng, n in draws:
+        _uniform_times(rng, f[at:at + n], t0_s, t1_s)
+        at += n
+    for times in pairs:
+        f[at:at + len(times)] = times
+        at += len(times)
+    # sorted as floats (faster here than as int64), then rounded: rint
+    # keeps the order. Cast by chunks: on a whole region, numpy would
+    # copy it first, as the float and int64 views overlap
+    f.sort()
+    for i in range(0, len(region), _CHUNK):
+        np.rint(f[i:i + _CHUNK], out=region[i:i + _CHUNK], casting="unsafe")
+
+
+def _pack(buf, w, i, j, keep=None):
+    """Moves the tags buf[i:j], or those where keep is set, to buf[w:], in
+    order, 65,536 at a time; w <= i. Returns the end of the packed tags.
+    The write never passes the chunk read, and numpy copies a chunk that
+    overlaps its destination before writing it."""
+    if keep is None and w == i:
+        return j
+    for lo in range(i, j, _CHUNK):
+        hi = min(lo + _CHUNK, j)
+        kept = buf[lo:hi] if keep is None else buf[lo:hi][keep[lo - i:hi - i]]
+        buf[w:w + len(kept)] = kept
         w += len(kept)
     return w
+
+
+def _dead_time(buf, w, i, j, dead, ready):
+    """Packs behind buf[:w] the tags of buf[i:j], sorted and w <= i, that a
+    detector ready from time `ready` on keeps under the dead time `dead`:
+    the first tag at or after `ready`, then `_kernels._dead_time_part`.
+    Returns the end of the packed tags and the next ready time."""
+    i += int(np.searchsorted(buf[i:j], ready))
+    if i == j:
+        return w, ready
+    kept = np.empty(j - i, dtype=np.bool_)
+    _dead_time_part(buf[i:j], dead, kept)
+    w = _pack(buf, w, i, j, kept)
+    return w, int(buf[w - 1]) + dead
+
+
+def _finish(buf, w, i, j, dead, head, ready):
+    """Packs the tags of one slice, buf[i:j], behind its block's earlier
+    tags, buf[:w], under the dead time; returns the new (w, head, ready).
+
+    ready is None while the block's head lasts: a block that does not start
+    the acquisition cannot know the detector's state at its start, so its
+    tags before its first gap of at least the dead time (searched from the
+    block's second tag) are packed unfiltered, head counting them. The tag
+    after that gap is always kept, and the dead time runs from it.
+    """
+    if dead <= 0:
+        return _pack(buf, w, i, j), head, ready
+    if ready is None:
+        if head and i < j and buf[i] - buf[w - 1] >= dead:
+            q = i
+        else:
+            q = i + _cluster_start(buf[i:j], 1, dead)
+        w, head = _pack(buf, w, i, q), head + q - i
+        if q == j:
+            return w, head, None
+        i, ready = q, int(buf[q])
+    w, ready = _dead_time(buf, w, i, j, dead, ready)
+    return w, head, ready
 
 
 def generate_streams(scenario, model):
@@ -328,38 +395,61 @@ def generate_streams(scenario, model):
         if rate * scenario.duration_s > _MAX_EXPECTED:
             raise ConfigurationError(
                 f"expected event count for {name} exceeds 2^62; reduce rate or duration")
+    # the expected tags, 8 B each, must fit in physical memory
+    physical = _physical_memory()
+    need = 8 * sum(_channel_rates(scenario, rates).values()) * scenario.duration_s
+    if physical and need > physical:
+        raise ConfigurationError(
+            f"the expected tags need {need / 2 ** 30:,.1f} GiB, more than the "
+            f"{physical / 2 ** 30:,.1f} GiB of physical memory; reduce rate or duration")
 
     n_slices = max(1, math.ceil(scenario.duration_s / _SLICE_S))
-    # the Poisson counts, drawn here, size one buffer per channel: slice k
-    # of channel c is bufs[c][bounds[c][k]:bounds[c][k + 1]]
-    draws = [_slice_draws(scenario, rates, k) for k in range(n_slices)]
-    bounds = {c: np.cumsum([0] + [sum(n for *_, n, chs in d if c in chs) for d in draws])
+    draws, routed = [], {c: [[] for _ in range(n_slices)] for c in scenario.channels}
+    for k in range(n_slices):
+        slice_draws, pairs = _slice_draws(scenario, rates, k)
+        draws.append(slice_draws)
+        for c, times in pairs.items():
+            for t in times:
+                _route(t, k, routed[c])
+    # the counts and the routed pair tags size one buffer per channel: slice
+    # k of channel c is bufs[c][bounds[c][k]:bounds[c][k + 1]]
+    bounds = {c: np.cumsum([0] + [sum(n for ch, _, n in d if ch == c)
+                                  + sum(len(t) for t in routed[c][k])
+                                  for k, d in enumerate(draws)]).tolist()
               for c in scenario.channels}
-    bufs = {c: np.empty(int(b[-1]), dtype=np.int64) for c, b in bounds.items()}
-
-    def fill(lo, hi):
-        for k in range(lo, hi):
-            _fill_slice(scenario, k, draws[k],
-                        {c: buf[bounds[c][k]:bounds[c][k + 1]] for c, buf in bufs.items()})
-
-    _map_blocks(fill, n_slices)
-
+    bufs = {c: np.empty(b[-1], dtype=np.int64) for c, b in bounds.items()}
+    dead = {c: int(round(cfg.dead_time_ns * 1e3)) for c, cfg in scenario.channels.items()}
     duration_ps = round(scenario.duration_s * _PS)
+
+    def finish(lo, hi):
+        # per channel: block start, packed end, head length, ready time
+        state = {c: (b[lo], b[lo], 0, 0 if lo == 0 else None) for c, b in bounds.items()}
+        for k in range(lo, hi):
+            t0, t1 = _slice_window(scenario, k)
+            for c, buf in bufs.items():
+                i, j = bounds[c][k], bounds[c][k + 1]
+                _fill(buf[i:j], [(rng, n) for ch, rng, n in draws[k] if ch == c],
+                      routed[c][k], t0, t1)
+                routed[c][k] = None     # the pair times are copied: free them
+                cut_lo, cut_hi = np.searchsorted(buf[i:j], (0, duration_ps)).tolist()
+                start, w, head, ready = state[c]
+                state[c] = (start, *_finish(buf, w, i + cut_lo, i + cut_hi, dead[c], head, ready))
+        return state
+
+    blocks = _map_blocks(finish, n_slices)
+
     out = {}
-    for c, cfg in scenario.channels.items():
-        t = bufs[c]
-        # each slice is sorted, so only the junctions can be inverted, and
-        # only by a pair tag jittered across one; an empty slice repeats a
-        # junction, and the ends are no junctions
-        j = bounds[c][1:-1]
-        j = j[(j > 0) & (j < len(t))]
-        if np.any(t[j - 1] > t[j]):
-            t.sort(kind="stable")
-        lo, hi = np.searchsorted(t, (0, duration_ps))
-        t = t[lo:hi]
-        if cfg.dead_time_ns > 0 and len(t):
-            t = t[:_compact(t, dead_time_mask(t, int(round(cfg.dead_time_ns * 1e3))))]
-        out[c] = TagStream(CHANNEL_IDS[c], t, scenario.duration_s,
+    for c, buf in bufs.items():
+        # each block after the first: its head filtered from the previous
+        # block's ready time, then its tags moved down behind the kept ones
+        _, w, _, ready = blocks[0][c]
+        for start, end, head, body_ready in (b[c] for b in blocks[1:]):
+            if head:
+                w, ready = _dead_time(buf, w, start, start + head, dead[c], ready)
+            w = _pack(buf, w, start + head, end)
+            if body_ready is not None:
+                ready = body_ready
+        out[c] = TagStream(CHANNEL_IDS[c], buf[:w], scenario.duration_s,
                            meta={"channel_name": c, "pump_power_mw": scenario.pump_power_mw,
                                  "seed": scenario.seed})
     return out

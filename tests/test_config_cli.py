@@ -737,6 +737,27 @@ class TestManifest:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_cli_run_too_big_for_memory_names_the_scenario(self, tmp_path):
+        # 1e6 s of coincidence_so is ~6e11 tags, terabytes of int64: the
+        # generator refuses it before any draw instead of running out of memory
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"scenarios": [
+            {"name": "long", "kind": "coincidence_so", "params": {"duration_s": 1e6}}]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(qfclab.__file__).parents[1])]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfclab.cli", "run", "--manifest", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: scenario 'long' (coincidence_so): "), line
+        assert "GiB of physical memory" in line, line
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_snr_sweep_without_noise_counts_reports_its_checks(self, tmp_path):
         # 1 ms acquisitions at seed 40: at 25 mW neither count sees a tag
         # (SNR nan), and at 50 and 75 mW only the noise count sees none (inf)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfclab import _kernels, montecarlo
-from qfclab._kernels import dead_time_mask, is_sorted
+from qfclab._kernels import dead_time_mask
 from qfclab.config import bundled_losses, bundled_model
 from qfclab.montecarlo import (ChannelConfig, ConfigurationError, ScenarioConfig,
                                TagStream, branch_rates, expected_rates,
@@ -176,6 +177,14 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             generate_streams(sc, model)
 
+    def test_memory_guard(self, model):
+        # 1e6 s at 200 kHz: 1.6 TB of expected tags, refused before any draw
+        ch = ChannelConfig(losses=lossless_budget(), dark_hz=200_000.0)
+        sc = ScenarioConfig(pump_power_mw=0.0, duration_s=1e6, seed=0,
+                            channels={"output": ch})
+        with pytest.raises(ConfigurationError, match=r"need 1,490\.1 GiB, more than"):
+            generate_streams(sc, model)
+
     def test_converted_input_stream(self, model):
         # with input light on, the output channel gains the converted-input
         # Poisson stream at flux * eta_loss(etalon) * eta_ext
@@ -320,12 +329,17 @@ class TestNonFiniteInputs:
 
 def slice_alone(scenario, rates, k):
     """Slice k drawn on its own into fresh buffers: {channel: sorted int64
-    ps tags}, not cut to the acquisition."""
-    draws = montecarlo._slice_draws(scenario, rates, k)
-    regions = {c: np.empty(sum(n for *_, n, chs in draws if c in chs), dtype=np.int64)
-               for c in scenario.channels}
-    montecarlo._fill_slice(scenario, k, draws, regions)
-    return regions
+    ps tags}, its pair tags neither routed to other slices nor cut to the
+    acquisition."""
+    draws, pairs = montecarlo._slice_draws(scenario, rates, k)
+    t0, t1 = montecarlo._slice_window(scenario, k)
+    out = {}
+    for c in scenario.channels:
+        own = [(rng, n) for ch, rng, n in draws if ch == c]
+        out[c] = np.empty(sum(n for _, n in own) + sum(len(t) for t in pairs[c]),
+                          dtype=np.int64)
+        montecarlo._fill(out[c], own, pairs[c], t0, t1)
+    return out
 
 
 def serial_generate_streams(scenario, model):
@@ -418,24 +432,85 @@ class TestSerialOracle:
 
     @pytest.mark.parametrize("dead_time_ns", [0.0, 50.0])
     def test_jitter_across_slice_junctions(self, model, workers, dead_time_ns):
-        # a 0.1 s jitter moves tags across every slice junction and out of
-        # [0, duration): the joined slices are unsorted, so the generator
-        # takes its re-sort path, and the cut drops tags at both ends
+        # a 0.1 s jitter routes pair tags of every channel into earlier and
+        # later slices and out of [0, duration) at both ends, where the cut
+        # drops them
         sc = pair_scenario(2.5, 9, jitter_fwhm_ps=1e11, dead_time_ns=dead_time_ns)
         rates = branch_rates(sc, model)
-        slices = [slice_alone(sc, rates, k) for k in range(3)]
+        duration_ps = round(sc.duration_s * 1e12)
         for c in sc.channels:
-            joined = np.concatenate([s[c] for s in slices])
-            assert not is_sorted(joined), c
-            assert joined.min() < 0 and joined.max() >= round(sc.duration_s * 1e12)
+            earlier = later = below = beyond = False
+            for k in range(3):
+                _, pairs = montecarlo._slice_draws(sc, rates, k)
+                tags = np.rint(np.concatenate(pairs[c])).astype(np.int64)
+                lands = tags // 10 ** 12
+                earlier |= bool((lands < k).any())
+                later |= bool((lands > k).any())
+                below |= bool((tags < 0).any())
+                beyond |= bool((tags >= duration_ps).any())
+            assert earlier and later and below and beyond, c
         assert_matches_serial(sc, model)
+
+
+@pytest.mark.parametrize("step_ps", [50_000, 49_999, 25_000])
+def test_dead_time_at_exact_gaps(model, workers, monkeypatch, step_ps):
+    # each slice holds a lattice of tags step_ps apart, 1,000 at its start
+    # and 1,001 at its end, so the lattice runs on across every slice and
+    # block junction: a gap equal to the 50 ns dead time is kept and one
+    # 1 ps short is not, and the odd end leaves a kept tag one step before
+    # the next slice's first
+    class Count:
+        def poisson(self, lam):
+            return 2001
+
+    def lattice(rng, out, t0_s, t1_s):
+        half = len(out) // 2
+        out[:half] = t0_s * 1e12 + step_ps * np.arange(half)
+        out[half:] = t1_s * 1e12 - step_ps * np.arange(len(out) - half, 0, -1)
+
+    monkeypatch.setattr(montecarlo, "_slice_rng", lambda *seeds: Count())
+    monkeypatch.setattr(montecarlo, "_uniform_times", lattice)
+    ch = dict(losses=lossless_budget(), dark_hz=13.0, jitter_fwhm_ps=0.0)
+
+    def output(dead_time_ns):
+        sc = ScenarioConfig(pump_power_mw=0.0, duration_s=3.5, seed=1,
+                            channels={"output": ChannelConfig(dead_time_ns=dead_time_ns, **ch)})
+        return generate_streams(sc, model)["output"].tags
+    raw = output(0.0)
+    assert len(raw) == 4 * 2001 and np.diff(raw).min() == step_ps
+    kept = output(50.0)
+    assert np.array_equal(kept, raw[dead_time_mask(raw, 50_000)])
+    # below 50 ns each slice keeps every other tag: 500 at its start, 501 at its end
+    assert len(kept) == (len(raw) if step_ps == 50_000 else 4 * 1001)
+
+
+def test_slices_under_thread_switching(model, monkeypatch):
+    # more workers than cores, a short switch interval and 61-tag packing
+    # steps: each worker fills, filters and packs its own block of every
+    # channel's buffer, and the calling thread joins the blocks after them
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 61)
+    sc = pair_scenario(3.5, 21, pump_power_mw=5.0, dead_time_ns=2e4)
+    want = serial_generate_streams(sc, model)
+    assert min(len(t) for t in want.values()) > 1000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = generate_streams(sc, model)
+            for c in want:
+                assert np.array_equal(got[c].tags, want[c]), c
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_allocation_peak_stays_near_the_tags_returned(model, workers):
     # coincidence_so's channel set for 3 s (about 1.8M tags): each tag is
-    # drawn into its channel's buffer and never copied whole, so the peak
-    # is that buffer plus the dead-time filter's masks: 1.24-1.38 at 1-3
-    # workers, where copies of the tags per slice and per channel read 1.66-1.88
+    # drawn into its channel's buffer and never copied whole, and the dead
+    # time masks one slice at a time, so the peak is that buffer plus
+    # TagStream's order check: 1.20-1.23 at 1-3 workers, where a dead-time
+    # mask of the whole stream read 1.24-1.38 and copies of the tags per
+    # slice and per channel 1.66-1.88
     from qfclab.scenarios import output_channel, signal_channel
     sc = ScenarioConfig(pump_power_mw=200.0, duration_s=3.0, seed=3,
                         channels={"signal": signal_channel(model, vbg=True),
@@ -449,13 +524,26 @@ def test_allocation_peak_stays_near_the_tags_returned(model, workers):
         tracemalloc.stop()
     returned = sum(s.tags.nbytes for s in streams.values())
     assert returned > 10 ** 7
-    assert peak <= 1.5 * returned, peak / returned
+    assert peak <= 1.3 * returned, peak / returned
 
 
 # seed 1133: the output's four slices hold 2, 0, 4 and 1 tags, and a pair
-# tag jittered across the last junction inverts it
+# tag jittered across the last junction lands in the slice after it
 @example(duration_s=3.5, seed=1133, pump_power_mw=0.07, jitter_fwhm_ps=1e11,
          dead_time_ns=5000.0, dark_hz=(2000.0, 2000.0, 1.0))
+# seed 673: the output's four slices hold 3, 0, 0 and 4 tags, so at 2 and 3
+# workers a block starts with empty slices before its head
+@example(duration_s=3.5, seed=673, pump_power_mw=0.07, jitter_fwhm_ps=350.0,
+         dead_time_ns=5000.0, dark_hz=(2000.0, 2000.0, 1.0))
+# a 0.3 ms dead time, near the mean gap of the 2 kHz channels: heads of a
+# few tags, and a block's first tags often within the dead time of the
+# previous block's last kept tag
+@example(duration_s=3.5, seed=673, pump_power_mw=0.07, jitter_fwhm_ps=350.0,
+         dead_time_ns=3e5, dark_hz=(2000.0, 2000.0, 1.0))
+# a 1.5 s dead time, longer than a slice: no block after the first has a
+# gap that long, so each is all head, filtered on the calling thread
+@example(duration_s=3.5, seed=673, pump_power_mw=0.07, jitter_fwhm_ps=350.0,
+         dead_time_ns=1.5e9, dark_hz=(2000.0, 2000.0, 1.0))
 @settings(max_examples=100, deadline=None)
 @given(duration_s=st.floats(0.0, 3.5), seed=st.integers(0, 2 ** 32),
        pump_power_mw=st.floats(0.0, 0.07),
@@ -479,19 +567,28 @@ def test_matches_serial_oracle_at_1_2_and_3_workers(model, duration_s, seed, pum
 
 
 def test_rates_and_dead_time_stay_on_calling_thread(model, monkeypatch):
+    # the rates (band_fraction) are computed on the calling thread, and no
+    # worker enters a function the benchmark's tracer wraps: each slice's
+    # dead time runs through the private _dead_time_part. Every binding of
+    # a wrapped function in a loaded qfclab module is replaced, as the
+    # tracer does
     calls = []
 
     def on_calling_thread(fn):
         def check(*args, **kwargs):
-            assert threading.current_thread() is threading.main_thread()
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, threading.current_thread() is threading.main_thread()))
             return fn(*args, **kwargs)
         return check
 
-    monkeypatch.setattr(montecarlo, "dead_time_mask",
-                        on_calling_thread(montecarlo.dead_time_mask))
-    monkeypatch.setattr(montecarlo, "band_fraction",
-                        on_calling_thread(montecarlo.band_fraction))
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "qfclab" or name.startswith("qfclab."))]
+    for fn in (montecarlo.band_fraction, montecarlo.generate_streams,
+               _kernels.dead_time_mask, _kernels.pair_histogram):
+        wrapped = on_calling_thread(fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapped)
     pools = []
 
     class CountingPool(concurrent.futures.ThreadPoolExecutor):
@@ -506,11 +603,9 @@ def test_rates_and_dead_time_stay_on_calling_thread(model, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 3)
-    streams = generate_streams(pair_scenario(50.0, 2, pump_power_mw=0.01), model)
+    streams = montecarlo.generate_streams(pair_scenario(50.0, 2, pump_power_mw=0.01), model)
     assert sum(len(s) for s in streams.values()) > 1000
-    assert {"dead_time_mask", "band_fraction"} <= set(calls)
-    # the slice pool, then the dead-time pool of the one stream long enough
-    # to split (the idler's ~1e6 tags; the others stay serial)
-    assert len(streams["idler"]) >= 3 * _kernels._DEAD_TIME_PART
-    assert max(len(streams["signal"]), len(streams["output"])) < 2 * _kernels._DEAD_TIME_PART
-    assert [(pool.workers, pool.submitted) for pool in pools] == [(3, 3), (3, 3)]
+    assert {"generate_streams", "band_fraction"} <= {name for name, _ in calls}
+    assert all(main for _, main in calls), calls
+    # one slice pool: 3 workers, one block of slices each
+    assert [(pool.workers, pool.submitted) for pool in pools] == [(3, 3)]
